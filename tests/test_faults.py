@@ -113,6 +113,35 @@ class TestMaskedVsObjectOracle:
                     net, source, target, faults, use_compiled=use_compiled
                 )
 
+    @pytest.mark.parametrize("link_rate", [0.1, 0.45])
+    @pytest.mark.parametrize("family", ["IS"] + list(FAMILIES))
+    def test_reverse_distances_match_object_routes(self, family, link_rate):
+        """The masked reverse BFS (the simulator's re-route table) gives
+        every live source the object oracle's route length to the
+        target, ``-1`` where the oracle finds no route and at every dead
+        source; the 0.45 link rate disconnects the graph."""
+        net = (make_network("IS", k=4) if family == "IS"
+               else make_network(family, l=2, n=2))
+        rng = random.Random(sum(map(ord, family)) + int(100 * link_rate))
+        target = Permutation.random(net.k, rng)
+        faults = _random_fault_set(
+            net, rng, node_rate=0.1, link_rate=link_rate, protect=[target]
+        )
+        dist_to = FaultMask.from_fault_set(net, faults).distances_to(
+            net.node_id(target)
+        )
+        for source in net.nodes():
+            got = int(dist_to[net.node_id(source)])
+            if faults.blocks_node(source):
+                assert got == -1, f"{net.name}: dead {source} has {got}"
+                continue
+            word = _route_or_none(net, source, target, faults, False)
+            expected = -1 if word is None else len(word)
+            assert got == expected, (
+                f"{net.name}: distance {source} -> {target} is {got}, "
+                f"object oracle says {expected} ({len(faults)} faults)"
+            )
+
     def test_survives_faults_parity(self, star4):
         rng = random.Random(7)
         for trial in range(6):
