@@ -20,11 +20,12 @@ same information fits comfortably in a handful of numpy arrays:
   :mod:`repro.comm.spanning_trees`) — all at once, cached forever
   (Cayley graphs are immutable).
 
-The BFS visits candidates in exactly the frontier-major, generator-minor
-order of the object-based FIFO implementations, so distances, layer
-contents, first hops, and tree parents match the object path *exactly*,
-which the differential tests in ``tests/test_compiled.py`` assert on all
-ten network families.
+That BFS, the reverse one, the fault-masked ones and the server's route
+tables all run one kernel, :func:`layered_bfs`.  It visits candidates in
+exactly the frontier-major, generator-minor order of the object-based
+FIFO implementations, so distances, layer contents, first hops, and tree
+parents match the object path *exactly*, which the differential tests in
+``tests/test_compiled.py`` assert on all ten network families.
 
 The object path remains the reference implementation and the only route
 for ``k`` beyond materialisation range; :class:`CompiledGraph` refuses
@@ -160,6 +161,111 @@ def parity_array(labels: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# The layered BFS kernel
+# ----------------------------------------------------------------------
+
+
+def first_occurrence(keys: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """The entries of ``fresh`` (ascending positions into ``keys``)
+    holding the first copy of each distinct key, in ascending order.
+
+    This is the tie-break every search shares: candidates arrive
+    frontier-major, generator-minor, and the first unvisited copy of a
+    node claims it — the FIFO discovery order of the object path.
+    """
+    _, first = np.unique(keys[fresh], return_index=True)
+    first.sort()
+    return fresh[first]
+
+
+def layered_bfs(table: np.ndarray, root: int, keep=None,
+                tree: bool = False, stop: Optional[int] = None):
+    """Layer-by-layer BFS over a ``(degree, n)`` successor table.
+
+    ``table`` is ``moves`` for a forward search or ``inverse_moves``
+    for a target-rooted one.  ``keep(frontier, cand)`` may return an
+    ``(f, degree)`` boolean filter over the candidates (the fault
+    masks); ``stop`` ends the search after the layer that reaches that
+    id.  Returns the ``int16`` distances (``-1`` where unreached); with
+    ``tree=True`` returns ``(distances, parent, parent_gen, order,
+    layer_starts)``, ties broken by :func:`first_occurrence`.
+    """
+    degree, n = table.shape
+    dist = np.full(n, -1, dtype=np.int16)
+    dist[root] = 0
+    frontier = np.asarray([root], dtype=np.int32)
+    if tree:
+        parent = np.full(n, -1, dtype=np.int32)
+        parent_gen = np.full(n, -1, dtype=np.int16)
+        layers = [frontier]
+    depth = 0
+    while frontier.size:
+        cand = table[:, frontier].T  # (f, degree): frontier-major
+        ok = dist[cand] < 0
+        if keep is not None:
+            ok &= keep(frontier, cand)
+        if tree:
+            flat = cand.ravel()
+            sel = first_occurrence(flat, np.flatnonzero(ok))
+            new = flat[sel]
+        else:
+            new = np.unique(cand[ok])
+        if not new.size:
+            break
+        depth += 1
+        dist[new] = depth
+        if tree:
+            parent[new] = frontier[sel // degree]
+            parent_gen[new] = sel % degree
+            layers.append(new)
+        if stop is not None and dist[stop] >= 0:
+            break
+        frontier = new
+    if not tree:
+        return dist
+    starts = np.cumsum([0] + list(map(len, layers)), dtype=np.int64)
+    return dist, parent, parent_gen, np.concatenate(layers), starts
+
+
+def tree_word(parent: np.ndarray, parent_gen: np.ndarray, root: int,
+              node: int) -> List[int]:
+    """Generator indices of the BFS-tree path ``root -> node``."""
+    word: List[int] = []
+    while node != root:
+        word.append(int(parent_gen[node]))
+        node = int(parent[node])
+    word.reverse()
+    return word
+
+
+def descend(moves: np.ndarray, dist_to: np.ndarray, source: int,
+            target: int, node_ok: Optional[np.ndarray] = None,
+            link_ok: Optional[np.ndarray] = None) -> Optional[List[int]]:
+    """A shortest route ``source -> target`` (``None`` if unreachable)
+    by greedy descent on a distances-to-target table: at each node take
+    the first generator whose head is one step closer.  ``node_ok`` and
+    ``link_ok`` (given together) are a fault mask its links must pass.
+    """
+    if dist_to[source] < 0 or (node_ok is not None and not node_ok[source]):
+        return None
+    word: List[int] = []
+    current = int(source)
+    while current != target:
+        closer = dist_to[current] - 1
+        for g in range(moves.shape[0]):
+            head = int(moves[g, current])
+            if dist_to[head] == closer and (
+                link_ok is None or link_ok[g, current] and node_ok[head]
+            ):
+                word.append(g)
+                current = head
+                break
+        else:  # pragma: no cover - the table guarantees progress
+            return None
+    return word
+
+
+# ----------------------------------------------------------------------
 # The compiled backend
 # ----------------------------------------------------------------------
 
@@ -266,57 +372,26 @@ class CompiledGraph:
 
     @profiled("compiled.bfs")
     def _run_bfs(self) -> None:
-        """Whole-frontier BFS from the identity (rank 0).
-
-        Candidates are generated frontier-major, generator-minor — the
-        FIFO discovery order of the object implementations — so ties
-        (first hops, tree parents) break identically.
-        """
-        n = self.num_nodes
-        n_gens = len(self.gen_names)
+        """The kernel's tree from the identity (rank 0).  A layer-1
+        node's first hop is its own generator; deeper nodes inherit
+        their parent's, layer by layer."""
         with get_tracer().span(
-            "compiled.bfs", network=self.graph.name, nodes=n
+            "compiled.bfs", network=self.graph.name, nodes=self.num_nodes
         ) as span:
-            moves = self.moves
-            dist = np.full(n, -1, dtype=np.int16)
-            first_hop = np.full(n, -1, dtype=np.int16)
-            parent = np.full(n, -1, dtype=np.int32)
-            parent_gen = np.full(n, -1, dtype=np.int16)
-            dist[0] = 0
-            frontier = np.zeros(1, dtype=np.int32)
-            chunks = [frontier]
-            starts = [0, 1]
-            depth = 0
-            while frontier.size:
-                # (f, g) then ravel: frontier-major, generator-minor.
-                cand = moves[:, frontier].T.ravel()
-                fresh = np.nonzero(dist[cand] < 0)[0]
-                if fresh.size:
-                    _, first_pos = np.unique(cand[fresh], return_index=True)
-                    first_pos.sort()
-                    sel = fresh[first_pos]
-                else:
-                    sel = fresh
-                if not sel.size:
-                    break
-                new = cand[sel].astype(np.int32)
-                par = frontier[sel // n_gens]
-                gen_idx = (sel % n_gens).astype(np.int16)
-                depth += 1
-                dist[new] = depth
-                parent[new] = par
-                parent_gen[new] = gen_idx
-                first_hop[new] = np.where(par == 0, gen_idx, first_hop[par])
-                frontier = new
-                chunks.append(new)
-                starts.append(starts[-1] + new.size)
+            dist, parent, parent_gen, order, starts = layered_bfs(
+                self.moves, 0, tree=True
+            )
+            first_hop = parent_gen.copy()
+            for lo, hi in zip(starts[2:-1], starts[3:]):
+                layer = order[lo:hi]
+                first_hop[layer] = first_hop[parent[layer]]
             self._dist = dist
             self._first_hop = first_hop
             self._parent = parent
             self._parent_gen = parent_gen
-            self._order = np.concatenate(chunks)
-            self._layer_starts = np.asarray(starts, dtype=np.int64)
-            span.set(depth=depth, reached=int(self._order.size))
+            self._order = order
+            self._layer_starts = starts
+            span.set(depth=len(starts) - 2, reached=int(order.size))
 
     @classmethod
     def from_arrays(
@@ -518,15 +593,14 @@ class CompiledGraph:
         """Distance *to* the identity from every rank (reverse BFS).
 
         For inverse-closed generator sets this equals :attr:`distances`;
-        for directed families (rotator nuclei) it is a separate BFS over
-        the inverted move tables — each move table is a permutation of
-        the ID space, so its inverse is one ``argsort``.
+        for directed families (rotator nuclei) it is a separate kernel
+        run over :attr:`inverse_moves`.
         """
         if self._reverse_dist is None:
             if self.graph.is_undirectable():
                 self._reverse_dist = self.distances
             else:
-                self._reverse_dist = self._reverse_bfs()
+                self._reverse_dist = layered_bfs(self.inverse_moves, 0)
         return self._reverse_dist
 
     @property
@@ -540,24 +614,6 @@ class CompiledGraph:
                 inverse[gi] = np.argsort(self.moves[gi]).astype(np.int32)
             self._inverse_moves = inverse
         return self._inverse_moves
-
-    @profiled("compiled.reverse_bfs")
-    def _reverse_bfs(self) -> np.ndarray:
-        inverse_moves = self.inverse_moves
-        n = self.num_nodes
-        dist = np.full(n, -1, dtype=np.int16)
-        dist[0] = 0
-        frontier = np.zeros(1, dtype=np.int32)
-        depth = 0
-        while frontier.size:
-            cand = inverse_moves[:, frontier].ravel()
-            new = np.unique(cand[dist[cand] < 0]).astype(np.int32)
-            if not new.size:
-                break
-            depth += 1
-            dist[new] = depth
-            frontier = new
-        return dist
 
     # -- whole-graph statistics ----------------------------------------
 
@@ -606,14 +662,7 @@ class CompiledGraph:
         """Generator indices of the BFS-tree path identity -> ``node_id``."""
         if self.distances[node_id] < 0:
             raise ValueError(f"rank {node_id} unreachable")
-        word: List[int] = []
-        current = node_id
-        parent, parent_gen = self.parent, self.parent_gen
-        while current != 0:
-            word.append(int(parent_gen[current]))
-            current = int(parent[current])
-        word.reverse()
-        return word
+        return tree_word(self.parent, self.parent_gen, 0, node_id)
 
     def spanning_tree(self) -> Dict[Permutation, tuple]:
         """The BFS tree in object form: ``node -> (parent, dimension)``.

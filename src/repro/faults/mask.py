@@ -6,19 +6,15 @@ A :class:`FaultMask` holds two boolean arrays against a
 * ``node_ok[r]`` — rank ``r`` is alive;
 * ``link_ok[g, r]`` — the directed link ``r -> moves[g][r]`` is alive.
 
-Masked breadth-first search then answers every fault-aware question in
-whole-frontier numpy passes: frontier expansion is one fancy-index into
-the move tables with the dead links/nodes filtered out.  Candidates are
-generated frontier-major, generator-minor — the FIFO discovery order of
-the object-path :func:`repro.routing.fault_tolerant.fault_tolerant_route`
-— so the extracted route words match the object oracle *exactly*, not
+Both masked searches run the shared whole-frontier kernel
+(:func:`~repro.core.compiled.layered_bfs`) with the masks as its
+``keep`` filter, so candidates keep the FIFO discovery order of the
+object-path :func:`repro.routing.fault_tolerant.fault_tolerant_route`
+and the extracted route words match the object oracle *exactly*, not
 just in length (asserted differentially in ``tests/test_faults.py``).
-
-The reverse search (:meth:`FaultMask.distances_to`) inverts each move
-table once (each is a permutation of the ID space, so its inverse is an
-``argsort``) and BFS-es backward from a target; any packet anywhere can
-then be routed to that target by greedy distance descent
-(:meth:`route_ids_via_table`), which is the simulator's re-route table.
+The reverse search (:meth:`FaultMask.distances_to`) runs on the inverse
+move tables from a target; greedy distance descent on its result
+(:meth:`route_ids_via_table`) is the simulator's re-route table.
 """
 
 from __future__ import annotations
@@ -29,6 +25,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.compiled import descend, layered_bfs, tree_word
 from ..core.permutations import Permutation
 from ..obs import profiled
 
@@ -61,13 +58,9 @@ class MaskedBFS:
         ``None`` when the target is unreachable under the mask."""
         if self.distances[target_id] < 0:
             return None
-        word: List[int] = []
-        current = int(target_id)
-        while current != self.source_id:
-            word.append(int(self.parent_gen[current]))
-            current = int(self.parent[current])
-        word.reverse()
-        return word
+        return tree_word(
+            self.parent, self.parent_gen, self.source_id, target_id
+        )
 
 
 class FaultMask:
@@ -85,7 +78,6 @@ class FaultMask:
         self.node_ok = np.ones(n, dtype=bool)
         self.link_ok = np.ones((self.num_gens, n), dtype=bool)
         self.epoch = 0
-        self._inverse_moves: Optional[np.ndarray] = None
 
     # -- construction --------------------------------------------------
 
@@ -190,47 +182,18 @@ class FaultMask:
         the target (the parent assignments made so far are final, so
         the extracted word is unaffected by the early exit).
         """
-        compiled = self.compiled
-        moves = compiled.moves
-        n = compiled.num_nodes
-        n_gens = self.num_gens
-        dist = np.full(n, -1, dtype=np.int16)
-        parent = np.full(n, -1, dtype=np.int32)
-        parent_gen = np.full(n, -1, dtype=np.int16)
-        if self.node_ok[source_id]:
-            dist[source_id] = 0
-            frontier = np.asarray([source_id], dtype=np.int32)
-            depth = 0
-            while frontier.size:
-                # (f, g) then ravel: frontier-major, generator-minor —
-                # the object path's FIFO discovery order.
-                cand = moves[:, frontier].T.ravel()
-                live = self.link_ok[:, frontier].T.ravel()
-                ok = np.nonzero(
-                    live & (dist[cand] < 0) & self.node_ok[cand]
-                )[0]
-                if ok.size:
-                    _, first_pos = np.unique(cand[ok], return_index=True)
-                    first_pos.sort()
-                    sel = ok[first_pos]
-                else:
-                    sel = ok
-                if not sel.size:
-                    break
-                new = cand[sel].astype(np.int32)
-                depth += 1
-                dist[new] = depth
-                parent[new] = frontier[sel // n_gens]
-                parent_gen[new] = (sel % n_gens).astype(np.int16)
-                if target_id is not None and dist[target_id] >= 0:
-                    break
-                frontier = new
-        return MaskedBFS(
-            source_id=int(source_id),
-            distances=dist,
-            parent=parent,
-            parent_gen=parent_gen,
-        )
+        if not self.node_ok[source_id]:
+            unreached = np.full(self.compiled.num_nodes, -1, dtype=np.int16)
+            tree = (unreached, unreached.astype(np.int32), unreached.copy())
+        else:  # distances, parent, parent_gen
+            tree = layered_bfs(
+                self.compiled.moves, source_id,
+                keep=lambda frontier, cand: (
+                    self.link_ok[:, frontier].T & self.node_ok[cand]
+                ),
+                tree=True, stop=target_id,
+            )[:3]
+        return MaskedBFS(int(source_id), *tree)
 
     def route_ids(
         self, source_id: int, target_id: int
@@ -263,13 +226,6 @@ class FaultMask:
 
     # -- reverse masked BFS (the re-route table) -----------------------
 
-    @property
-    def inverse_moves(self) -> np.ndarray:
-        """Per-generator inverse move tables (cached argsorts)."""
-        if self._inverse_moves is None:
-            self._inverse_moves = self.compiled.inverse_moves
-        return self._inverse_moves
-
     @profiled("faults.masked_reverse_bfs")
     def distances_to(self, target_id: int) -> np.ndarray:
         """Distance from every rank *to* ``target_id`` over the live
@@ -280,60 +236,25 @@ class FaultMask:
         ``(u, g)``, so the link mask is evaluated at the *candidate*,
         not the frontier.
         """
-        inverse_moves = self.inverse_moves
-        n = self.compiled.num_nodes
-        dist = np.full(n, -1, dtype=np.int16)
         if not self.node_ok[target_id]:
-            return dist
-        dist[target_id] = 0
-        frontier = np.asarray([target_id], dtype=np.int32)
-        depth = 0
-        while frontier.size:
-            cand = inverse_moves[:, frontier]          # (g, f)
-            gen_row = np.broadcast_to(
-                np.arange(self.num_gens, dtype=np.int64)[:, None],
-                cand.shape,
-            )
-            live = self.link_ok[gen_row.ravel(), cand.ravel()]
-            flat = cand.ravel()
-            ok = live & (dist[flat] < 0) & self.node_ok[flat]
-            new = np.unique(flat[ok]).astype(np.int32)
-            if not new.size:
-                break
-            depth += 1
-            dist[new] = depth
-            frontier = new
-        return dist
+            return np.full(self.compiled.num_nodes, -1, dtype=np.int16)
+        gens = np.arange(self.num_gens)
+        return layered_bfs(
+            self.compiled.inverse_moves, target_id,
+            keep=lambda frontier, cand: (
+                self.link_ok[gens, cand] & self.node_ok[cand]
+            ),
+        )
 
     def route_ids_via_table(
         self, source_id: int, target_id: int, dist_to: np.ndarray
     ) -> Optional[List[int]]:
-        """Greedy distance descent on a :meth:`distances_to` table.
-
-        At each node, pick the first generator (in generator order)
-        whose link is alive and whose head strictly decreases the
-        distance to the target.  Yields a shortest fault-free route
-        without re-running BFS per source — the simulator's per-target
-        re-route table.
-        """
-        if not self.node_ok[source_id] or dist_to[source_id] < 0:
-            return None
-        word: List[int] = []
-        current = int(source_id)
-        moves = self.compiled.moves
-        while current != target_id:
-            remaining = int(dist_to[current])
-            for g in range(self.num_gens):
-                if not self.link_ok[g, current]:
-                    continue
-                head = int(moves[g][current])
-                if self.node_ok[head] and dist_to[head] == remaining - 1:
-                    word.append(g)
-                    current = head
-                    break
-            else:  # pragma: no cover - table guarantees progress
-                return None
-        return word
+        """Greedy descent on a :meth:`distances_to` table over live
+        links only: the simulator's re-route, with no BFS per source."""
+        return descend(
+            self.compiled.moves, dist_to, source_id, target_id,
+            node_ok=self.node_ok, link_ok=self.link_ok,
+        )
 
     # -- whole-network statistics --------------------------------------
 

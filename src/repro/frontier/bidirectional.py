@@ -27,6 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..core.compiled import first_occurrence
 from ..core.permutations import Permutation
 from .encoding import (
     chunk_rows,
@@ -66,13 +67,11 @@ class _Ball:
                 piece = block[lo:lo + self.chunk]
                 cand = expand_states(piece, self.columns)
                 keys = self.key_fn(cand)
-                fresh = np.nonzero(
+                sel = first_occurrence(keys, np.flatnonzero(
                     ~in_any(keys, self.layer_keys + new_keys)
-                )[0]
-                if not fresh.size:
+                ))
+                if not sel.size:
                     continue
-                _, first_pos = np.unique(keys[fresh], return_index=True)
-                sel = fresh[first_pos]
                 new_chunks.append(np.ascontiguousarray(cand[sel]))
                 new_keys.append(np.sort(keys[sel]))
         if not new_chunks:

@@ -23,8 +23,8 @@ lack that symmetry, so a ring of *all* visited layers' keys is kept —
 Tie-break parity
 ----------------
 Candidates are generated frontier-major, generator-minor
-(:func:`~repro.frontier.encoding.expand_states`) and deduped
-first-occurrence-wins, batch by batch in frontier order — the exact
+(:func:`~repro.frontier.encoding.expand_states`) and deduped by
+:func:`~repro.core.compiled.first_occurrence`, batch by batch — the exact
 discovery order of the compiled whole-frontier BFS.  Layer contents,
 their order, and first-hop tags are therefore byte-identical to
 ``CompiledGraph`` (asserted by ``tests/test_frontier.py``) and
@@ -41,6 +41,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
+from ..core.compiled import first_occurrence
 from ..core.tablestore import store_digest
 from ..obs import get_registry, get_tracer
 from .encoding import (
@@ -342,15 +343,8 @@ class FrontierBFS:
                 cand = expand_states(states, columns)
                 keys = state.key_fn(cand)
                 guard = state.guard() + new.key_chunks
-                fresh = np.nonzero(~in_any(keys, guard))[0]
-                if fresh.size:
-                    _, first_pos = np.unique(
-                        keys[fresh], return_index=True
-                    )
-                    first_pos.sort()
-                    sel = fresh[first_pos]
-                else:
-                    sel = fresh
+                fresh = np.flatnonzero(~in_any(keys, guard))
+                sel = first_occurrence(keys, fresh)
                 if sel.size:
                     if self.track_first_hop:
                         if depth == 0:

@@ -68,6 +68,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
+from ..core.compiled import first_occurrence
 from ..core.tablestore import store_digest
 from ..obs import get_registry, get_tracer
 from .encoding import (
@@ -183,13 +184,7 @@ class _ShardReceiver:
         else:
             self.received_remote += rows
         guard = self.window.guard() + self.builder.key_chunks
-        fresh = np.nonzero(~in_any(keys, guard))[0]
-        if fresh.size:
-            _, first_pos = np.unique(keys[fresh], return_index=True)
-            first_pos.sort()
-            sel = fresh[first_pos]
-        else:
-            sel = fresh
+        sel = first_occurrence(keys, np.flatnonzero(~in_any(keys, guard)))
         if sel.size:
             self.builder.add(states[sel], np.sort(keys[sel]), None)
         self.discarded += rows - int(sel.size)

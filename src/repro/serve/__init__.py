@@ -32,7 +32,6 @@ from .engine import (
     parse_node,
     parse_symbols,
     relative_ranks,
-    reverse_table,
     route_payload,
     validate_symbols,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "relative_ranks",
     "replay_trace",
     "requests_from_pairs",
-    "reverse_table",
     "route_payload",
     "run_loadgen",
     "sample_traces",

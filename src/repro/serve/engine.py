@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.compiled import CompiledGraph, rank_array
+from ..core.compiled import CompiledGraph, descend, layered_bfs, rank_array
 from ..core.lru import EVICTION_METRIC, SIZE_METRIC, LRUCache
 from ..core.permutations import Permutation
 from ..core.super_cayley import SuperCayleyNetwork
@@ -278,60 +278,6 @@ def relative_ranks(
     return relative_ranks_of_symbols(s, t)
 
 
-def reverse_table(compiled: CompiledGraph, target_id: int) -> np.ndarray:
-    """Distance from every rank *to* ``target_id`` (fault-free).
-
-    A whole-frontier BFS over the inverted move tables rooted at the
-    target — the serving counterpart of the simulator's per-target
-    re-route tables (:meth:`repro.faults.FaultMask.distances_to`
-    without the masks).  Any source is then routed to the target by
-    greedy distance descent without another search.
-    """
-    inverse_moves = compiled.inverse_moves
-    n = compiled.num_nodes
-    dist = np.full(n, -1, dtype=np.int16)
-    dist[target_id] = 0
-    frontier = np.asarray([target_id], dtype=np.int32)
-    depth = 0
-    while frontier.size:
-        cand = inverse_moves[:, frontier].ravel()
-        new = np.unique(cand[dist[cand] < 0]).astype(np.int32)
-        if not new.size:
-            break
-        depth += 1
-        dist[new] = depth
-        frontier = new
-    return dist
-
-
-def descend_word_ids(
-    compiled: CompiledGraph,
-    source_id: int,
-    target_id: int,
-    dist_to: np.ndarray,
-) -> Optional[List[int]]:
-    """Shortest-route generator indices by greedy descent on a
-    :func:`reverse_table` (first strictly-decreasing generator wins, as
-    in :meth:`repro.faults.FaultMask.route_ids_via_table`)."""
-    if dist_to[source_id] < 0:
-        return None
-    word: List[int] = []
-    current = int(source_id)
-    moves = compiled.moves
-    num_gens = len(compiled.gen_names)
-    while current != target_id:
-        remaining = int(dist_to[current])
-        for g in range(num_gens):
-            head = int(moves[g][current])
-            if dist_to[head] == remaining - 1:
-                word.append(g)
-                current = head
-                break
-        else:  # pragma: no cover - table guarantees progress
-            return None
-    return word
-
-
 # ----------------------------------------------------------------------
 # Shared route payload (CLI `route --json` parity)
 # ----------------------------------------------------------------------
@@ -531,7 +477,7 @@ class QueryEngine:
         (hotspot traffic keeps hitting the same handful of targets)."""
         key = (net.name, int(target_id))
         return self._route_tables.get_or_create(
-            key, lambda: reverse_table(net.compiled(), target_id)
+            key, lambda: layered_bfs(net.compiled().inverse_moves, target_id)
         )
 
     def cache_stats(self) -> Dict[str, object]:
@@ -1066,9 +1012,7 @@ class QueryEngine:
         target_id = compiled.node_id(target)
         if hotspot:
             table = self.route_table(net, target_id)
-            word_ids = descend_word_ids(
-                compiled, source_id, target_id, table
-            )
+            word_ids = descend(compiled.moves, table, source_id, target_id)
         else:
             rel = int(
                 relative_ranks(compiled, [source_id], [target_id])[0]

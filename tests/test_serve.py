@@ -144,15 +144,19 @@ class TestEngineDifferential:
             assert payload["hops"] == len(expected)
             assert payload["optimal"] == len(expected)
 
-    def test_hotspot_route_valid_and_shortest(self):
+    @pytest.mark.parametrize("family,spec", ALL_TEN,
+                             ids=[f for f, _ in ALL_TEN])
+    def test_hotspot_route_valid_and_shortest(self, family, spec):
         """Target+sources routes (reverse-table descent) are walkable
-        and optimal, though their tie-breaks may differ."""
+        and optimal, though their tie-breaks may differ.  On the
+        directed families (MR, RR, complete-RR) the reverse table is
+        not the forward one."""
         engine = QueryEngine()
-        spec = {"family": "MS", "l": 2, "n": 2}
         net = make_network(**spec)
-        target = node_str(Permutation.unrank(net.k, 77))
+        target = node_str(Permutation.unrank(net.k, 77 % net.num_nodes))
         sources = [node_str(p) for p, _ in zip(
-            (Permutation.unrank(net.k, r) for r in range(0, 120, 11)),
+            (Permutation.unrank(net.k, r % net.num_nodes)
+             for r in range(0, 120, 11)),
             range(10),
         )]
         response = engine.execute({
