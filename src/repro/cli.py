@@ -83,24 +83,23 @@ def _add_network_args(parser):
 def _add_table_cache_arg(parser):
     parser.add_argument(
         "--table-cache", metavar="DIR",
-        help="reuse compiled distance/first-hop tables across runs: load "
-             "<DIR>/<network>.npz when present, compute and save it "
-             "otherwise (materialisable networks only)")
+        help="reuse compiled tables across runs and processes: attach "
+             "the mmap'd store <DIR>/<network>.tables when it is valid, "
+             "compile and write it otherwise (materialisable networks "
+             "only)")
 
 
 def _apply_table_cache(net, args) -> None:
-    """Load (or compute-and-save) the network's compiled BFS tables."""
+    """Attach (or create) the network's compiled-table store."""
     cache_dir = getattr(args, "table_cache", None)
-    if not cache_dir:
+    if not cache_dir or not net.can_compile():
         return
-    from pathlib import Path
+    from .core.tablestore import store_dir
+    from .io import attach_compiled_tables
 
-    from .io import use_table_cache
-
-    status = use_table_cache(net, cache_dir)
-    if status is not None:
-        path = Path(cache_dir) / f"{net.name}.npz"
-        print(f"table cache: {status} {path}", file=sys.stderr)
+    _, mode = attach_compiled_tables(net, cache_dir=cache_dir)
+    print(f"table cache: {mode} {store_dir(net, cache_dir)}",
+          file=sys.stderr)
 
 
 def _add_obs_args(parser):
@@ -118,9 +117,9 @@ def _add_shared_tables_arg(parser):
     parser.add_argument(
         "--shared-tables", action="store_true",
         help="one host copy of each family's compiled tables: workers "
-             "and replicas attach read-only shared stores (mmap'd "
-             "under --table-cache when given, shared memory otherwise) "
-             "instead of compiling private copies",
+             "and replicas attach a read-only shared-memory segment "
+             "instead of compiling private copies (with --table-cache "
+             "they attach its mmap'd store, with or without this flag)",
     )
 
 

@@ -114,8 +114,8 @@ class Replica:
         return self
 
     def warm(self, specs) -> None:
-        """Compile (or cache-load) networks into this replica's engine
-        (or its shard workers) before it takes traffic."""
+        """Compile (or attach) networks into this replica's engine (or
+        its shard workers) before it takes traffic."""
         specs = list(specs)
         if self.engine is not None:
             for spec in specs:

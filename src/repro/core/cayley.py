@@ -151,8 +151,8 @@ class CayleyGraph:
         return self._compiled
 
     def adopt_compiled(self, compiled: CompiledGraph) -> None:
-        """Install a pre-built :class:`CompiledGraph` (e.g. loaded from
-        a ``.npz`` table cache) as this graph's backend."""
+        """Install a pre-built :class:`CompiledGraph` (e.g. attached
+        from a table store) as this graph's backend."""
         if compiled.k != self.k or compiled.gen_names != tuple(
             g.name for g in self.generators
         ):

@@ -276,8 +276,7 @@ class CompiledGraph:
     Construction compiles nothing: the label table, the per-generator
     move tables, and the identity-rooted BFS are each built lazily on
     first use and cached (the graph is immutable).  All arrays may also
-    be injected wholesale via :meth:`from_arrays` (the ``.npz`` table
-    cache of :mod:`repro.io`).
+    be attached wholesale from a table store via :meth:`from_store`.
 
     Attributes (after the BFS has run)
     ----------------------------------
@@ -394,63 +393,6 @@ class CompiledGraph:
             span.set(depth=len(starts) - 2, reached=int(order.size))
 
     @classmethod
-    def from_arrays(
-        cls,
-        graph: "CayleyGraph",
-        distances: np.ndarray,
-        first_hop: np.ndarray,
-        parent: np.ndarray,
-        parent_gen: np.ndarray,
-        order: np.ndarray,
-        layer_starts: np.ndarray,
-        moves: Optional[np.ndarray] = None,
-        inverse_moves: Optional[np.ndarray] = None,
-        labels: Optional[np.ndarray] = None,
-    ) -> "CompiledGraph":
-        """Rebuild a compiled view from persisted BFS tables (no BFS run).
-
-        Move tables stay lazy unless provided (v2 ``.npz`` archives and
-        the shared table stores persist them) — with only the BFS
-        arrays, they are recompiled if a consumer actually needs
-        frontier expansion (e.g. the simulator).
-        """
-        compiled = cls(graph)
-        n = graph.num_nodes
-        for name, arr in (("distances", distances), ("first_hop", first_hop),
-                          ("parent", parent), ("parent_gen", parent_gen)):
-            if arr.shape != (n,):
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected ({n},)"
-                )
-        degree = len(compiled.gen_names)
-        for name, arr in (("moves", moves),
-                          ("inverse_moves", inverse_moves)):
-            if arr is not None and arr.shape != (degree, n):
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected ({degree}, {n})"
-                )
-        if labels is not None and labels.shape != (n, graph.k):
-            raise ValueError(
-                f"labels has shape {labels.shape}, "
-                f"expected ({n}, {graph.k})"
-            )
-        compiled._dist = np.asarray(distances, dtype=np.int16)
-        compiled._first_hop = np.asarray(first_hop, dtype=np.int16)
-        compiled._parent = np.asarray(parent, dtype=np.int32)
-        compiled._parent_gen = np.asarray(parent_gen, dtype=np.int16)
-        compiled._order = np.asarray(order, dtype=np.int32)
-        compiled._layer_starts = np.asarray(layer_starts, dtype=np.int64)
-        if moves is not None:
-            compiled._moves = np.asarray(moves, dtype=np.int32)
-        if inverse_moves is not None:
-            compiled._inverse_moves = np.asarray(
-                inverse_moves, dtype=np.int32
-            )
-        if labels is not None:
-            compiled._labels = np.asarray(labels)
-        return compiled
-
-    @classmethod
     def from_store(cls, graph: "CayleyGraph", handle) -> "CompiledGraph":
         """Build a compiled view over a host-shared table store.
 
@@ -461,19 +403,30 @@ class CompiledGraph:
         its tables between them.  The handle is retained on the
         instance to keep the underlying mapping alive.
         """
-        arrays = handle.arrays
-        compiled = cls.from_arrays(
-            graph,
-            distances=arrays["distances"],
-            first_hop=arrays["first_hop"],
-            parent=arrays["parent"],
-            parent_gen=arrays["parent_gen"],
-            order=arrays["order"],
-            layer_starts=arrays["layer_starts"],
-            moves=arrays["moves"],
-            inverse_moves=arrays["inverse_moves"],
-            labels=arrays["labels"],
-        )
+        compiled = cls(graph)
+        n, degree = graph.num_nodes, len(compiled.gen_names)
+        # plain ndarray views: np.memmap's Python-level indexing hooks
+        # would otherwise tax every table lookup
+        arrays = {name: np.asarray(a) for name, a in handle.arrays.items()}
+        for name, shape in (
+            ("labels", (n, graph.k)), ("moves", (degree, n)),
+            ("inverse_moves", (degree, n)), ("distances", (n,)),
+            ("first_hop", (n,)), ("parent", (n,)), ("parent_gen", (n,)),
+        ):
+            if arrays[name].shape != shape:
+                raise ValueError(
+                    f"{name} has shape {arrays[name].shape}, "
+                    f"expected {shape}"
+                )
+        compiled._labels = arrays["labels"]
+        compiled._moves = arrays["moves"]
+        compiled._inverse_moves = arrays["inverse_moves"]
+        compiled._dist = arrays["distances"]
+        compiled._first_hop = arrays["first_hop"]
+        compiled._parent = arrays["parent"]
+        compiled._parent_gen = arrays["parent_gen"]
+        compiled._order = arrays["order"]
+        compiled._layer_starts = arrays["layer_starts"]
         compiled._attached = frozenset(arrays)
         compiled._store = handle
         return compiled
@@ -506,18 +459,6 @@ class CompiledGraph:
             kind = "shared" if name in self._attached else "private"
             totals[kind] += int(arr.nbytes)
         return totals
-
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The BFS tables as plain arrays (see :mod:`repro.io`)."""
-        self._ensure_bfs()
-        return {
-            "distances": self._dist,
-            "first_hop": self._first_hop,
-            "parent": self._parent,
-            "parent_gen": self._parent_gen,
-            "order": self._order,
-            "layer_starts": self._layer_starts,
-        }
 
     # -- node-id conversion --------------------------------------------
 

@@ -14,10 +14,13 @@ lets every other process attach zero-copy, read-only views:
   names/permutations, dtypes, shapes, per-array CRC32 checksums) that
   attachers validate before trusting a byte;
 * **mmap'd ``.npy`` directory stores** — when a ``--table-cache`` path
-  is given: the same arrays as uncompressed ``.npy`` files plus a
-  ``manifest.json``, attached via ``np.load(mmap_mode="r")`` so the
-  kernel page cache is the single host-wide copy *and* it survives
-  restarts.
+  is given, the only on-disk format: the same arrays as uncompressed
+  ``.npy`` files plus the same manifest as ``manifest.json``, attached
+  via ``np.load(mmap_mode="r")`` so the kernel page cache is the
+  single host-wide copy *and* it survives restarts.
+
+Every attach, of either kind, validates the manifest and every CRC32
+before a view is handed out.
 
 Segment names are deterministic functions of the table contents'
 identity (store format, ``k``, generator names and one-line actions),
@@ -63,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .cayley import CayleyGraph
     from .compiled import CompiledGraph
 
-#: store layout version (independent of the ``.npz`` ``_TABLE_FORMAT``).
+#: store layout version, part of every manifest and segment digest.
 STORE_FORMAT = 1
 
 #: every segment this module creates is named ``repro_tbl_<digest>`` —
@@ -71,8 +74,8 @@ STORE_FORMAT = 1
 SEGMENT_PREFIX = "repro_tbl_"
 
 #: the arrays a store holds, in layout order.  ``labels`` and the move
-#: tables are included (unlike the v1 ``.npz`` cache) precisely so an
-#: attaching worker never pays the O(degree * k!) move recompile.
+#: tables are included so an attaching worker never pays the
+#: O(degree * k!) move recompile.
 TABLE_ARRAYS = (
     "labels",
     "moves",
@@ -408,16 +411,14 @@ def create_segment(
 
 
 def attach_segment(
-    graph: "CayleyGraph",
-    name: Optional[str] = None,
-    verify_checksums: bool = True,
+    graph: "CayleyGraph", name: Optional[str] = None
 ) -> StoreHandle:
     """Attach read-only views onto an existing segment.
 
     Validates the manifest against ``graph`` (format, ``k``, generator
-    names/actions, dtypes, shapes) and, by default, the per-array CRC32
-    checksums — a few milliseconds for megabyte tables, and the
-    difference between "attached" and "attached to a torn write".
+    names/actions, dtypes, shapes) and the per-array CRC32 checksums —
+    a few milliseconds for megabyte tables, and the difference between
+    "attached" and "attached to a torn write".
     Raises :class:`TableStoreMissing` when the segment does not exist
     or is still being filled.
     """
@@ -444,8 +445,7 @@ def attach_segment(
             ) from exc
         _validate_manifest(graph, manifest)
         views = _views_from_buffer(shm.buf, manifest)
-        if verify_checksums:
-            _verify_checksums(name, manifest, views)
+        _verify_checksums(name, manifest, views)
     except BaseException:
         shm.close()
         raise
@@ -479,15 +479,20 @@ def create_dir_store(
     graph: "CayleyGraph", cache_dir: Union[str, Path]
 ) -> StoreHandle:
     """Write the uncompressed ``.npy`` directory store (atomically: a
-    temp directory renamed into place), then attach it mmap'd."""
+    temp directory renamed into place), then attach it mmap'd.
+
+    The caller must hold the store's :func:`host_lock`: every
+    ``.<name>.tables.tmp*`` sibling is then debris of a creator killed
+    mid-write, and is removed before writing.
+    """
     final = store_dir(graph, cache_dir)
     final.parent.mkdir(parents=True, exist_ok=True)
+    for stale in final.parent.glob(f".{final.name}.tmp*"):
+        shutil.rmtree(stale, ignore_errors=True)
     arrays = table_arrays(graph.compiled())
     manifest = _build_manifest(graph, arrays)
     tmp = final.with_name(f".{final.name}.tmp{os.getpid()}")
-    if tmp.exists():  # pragma: no cover - stale tmp from a crashed pid
-        shutil.rmtree(tmp)
-    tmp.mkdir(parents=True)
+    tmp.mkdir()
     try:
         for name, arr in arrays.items():
             np.save(tmp / f"{name}.npy", np.ascontiguousarray(arr))
@@ -498,23 +503,22 @@ def create_dir_store(
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    handle = attach_dir_store(graph, cache_dir, verify_checksums=False)
+    handle = attach_dir_store(graph, cache_dir)
     handle.created = True
     return handle
 
 
 def attach_dir_store(
-    graph: "CayleyGraph",
-    cache_dir: Union[str, Path],
-    verify_checksums: bool = False,
+    graph: "CayleyGraph", cache_dir: Union[str, Path]
 ) -> StoreHandle:
     """Attach read-only mmap views onto a ``.npy`` directory store.
 
     The kernel page cache makes concurrent attachers share one physical
-    copy per host.  Checksums are off by default here — the rename
-    publish means a visible store is complete — but can be forced.
-    Raises :class:`TableStoreMissing` / :class:`TableStoreError` like
-    the segment attach.
+    copy per host.  The rename publish means a visible store is
+    complete, but the disk under it can still rot, so the manifest and
+    every CRC32 are checked as for a segment.  Raises
+    :class:`TableStoreMissing` / :class:`TableStoreError` like the
+    segment attach.
     """
     path = store_dir(graph, cache_dir)
     manifest_path = path / "manifest.json"
@@ -540,8 +544,7 @@ def attach_dir_store(
                 f"{name}.npy in {path} does not match its manifest entry"
             )
         views[name] = view
-    if verify_checksums:
-        _verify_checksums(str(path), manifest, views)
+    _verify_checksums(str(path), manifest, views)
     return StoreHandle("mmap", str(path), views, created=False)
 
 

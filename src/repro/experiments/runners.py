@@ -312,8 +312,9 @@ def fault_sweep(
     ``fault_kind`` is ``"link"``, ``"node"``, or ``"both"``; traffic
     endpoints are protected from node failures so delivery stays
     well-defined.  Packets are routed via the compiled shortest-path
-    tree (``table_cache`` reuses persisted tables across runs).  Yields
-    one :class:`FaultRow` per rate.
+    tree (``table_cache`` attaches the tables' on-disk store, see
+    :func:`repro.io.attach_compiled_tables`).  Yields one
+    :class:`FaultRow` per rate.
     """
     from ..comm.simulator import PacketSimulator
     from ..emulation.models import CommModel
@@ -331,12 +332,11 @@ def fault_sweep(
         ) as sp:
             net = (make_network("IS", k=k) if family == "IS"
                    else make_network(family, l=l, n=n))
-            if table_cache is not None:
-                from ..io import use_table_cache
+            if table_cache is not None and net.can_compile():
+                from ..io import attach_compiled_tables
 
-                status = use_table_cache(net, table_cache)
-                if status is not None:
-                    sp.set(table_cache=status)
+                _, mode = attach_compiled_tables(net, cache_dir=table_cache)
+                sp.set(table_cache=mode)
             rng = random.Random(seed)
             pairs = []
             for _ in range(packets):
@@ -397,10 +397,10 @@ def properties_sweep(
 ) -> Iterator[dict]:
     """Section 2's property table, row per instance.
 
-    ``table_cache`` names a directory of persisted compiled BFS tables
-    (see :func:`repro.io.use_table_cache`): materialisable instances
-    load their distance/first-hop arrays instead of recomputing them,
-    and first-time instances save theirs for the next sweep.
+    ``table_cache`` names a directory of compiled-table stores (see
+    :func:`repro.io.attach_compiled_tables`): materialisable instances
+    attach their tables instead of recomputing them, and first-time
+    instances write theirs for the next sweep.
     """
     for family, l, n in instances:
         with get_tracer().span(
@@ -408,12 +408,11 @@ def properties_sweep(
         ) as sp:
             net = (make_network("IS", k=k_for_is) if family == "IS"
                    else make_network(family, l=l, n=n))
-            if table_cache is not None:
-                from ..io import use_table_cache
+            if table_cache is not None and net.can_compile():
+                from ..io import attach_compiled_tables
 
-                status = use_table_cache(net, table_cache)
-                if status is not None:
-                    sp.set(table_cache=status)
+                _, mode = attach_compiled_tables(net, cache_dir=table_cache)
+                sp.set(table_cache=mode)
             row = network_profile(net, exact=exact)
         yield row
 

@@ -12,27 +12,22 @@ module round-trips them through plain JSON:
 * **word embeddings** — the per-dimension words plus guest/host specs;
 * **simulation results** — :class:`repro.comm.SimulationResult` (with
   optional per-round traces) so simulator outcomes can be persisted and
-  diffed across runs;
-* **compiled distance tables** — the :class:`repro.core.CompiledGraph`
-  BFS arrays (distances, first hops, BFS-tree parents, layer offsets)
-  as ``.npz``, so TE/MNB sweeps reuse one identity-rooted search across
-  processes (``repro ... --table-cache DIR``).
+  diffed across runs.
 
 Only word embeddings serialize (function embeddings close over
 arbitrary Python callables); that covers every Theorem 1-3/6-7 artefact.
+
+Compiled tables are not JSON: they live in the table stores of
+:mod:`repro.core.tablestore`, which :func:`attach_compiled_tables`
+creates and attaches (``repro ... --table-cache DIR``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
-import zipfile
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
-
-import numpy as np
 
 from .comm.simulator import SimulationResult
 from .core.cayley import CayleyGraph
@@ -161,162 +156,6 @@ def load_simulation_result(path: Union[str, Path]) -> SimulationResult:
 
 
 # ----------------------------------------------------------------------
-# Compiled distance / first-hop tables (.npz)
-# ----------------------------------------------------------------------
-
-def _path_lock_key(kind: str, path: Union[str, Path]) -> str:
-    """Host-lock key for a filesystem store: same resolved path ⇒ same
-    key, regardless of how callers spelled it.  The lock file itself
-    lives in the global lock directory so cache directories hold only
-    their payload."""
-    resolved = str(Path(path).resolve())
-    return f"{kind}-{hashlib.sha1(resolved.encode()).hexdigest()[:12]}"
-
-
-#: v2 adds the ``moves`` / ``inverse_moves`` tables so attaching
-#: workers stop paying the O(degree * k!) move recompile; v1 archives
-#: (BFS arrays only) still load.
-_TABLE_FORMAT = 2
-
-#: formats :func:`load_compiled_tables` accepts.
-_READABLE_TABLE_FORMATS = (1, 2)
-
-
-def save_compiled_tables(
-    graph: CayleyGraph, path: Union[str, Path]
-) -> None:
-    """Persist a graph's compiled tables as compressed ``.npz``.
-
-    Stores the distance, first-hop, parent, and layer arrays — and,
-    since format 2, the per-generator move and inverse-move tables —
-    plus enough metadata (``k``, generator names and one-line actions)
-    for :func:`load_compiled_tables` to refuse tables that do not match
-    the graph they are offered to.
-
-    The write is atomic: the archive is written to a temporary file in
-    the destination directory and moved into place with ``os.replace``,
-    so concurrent writers (several serve shards warming the same cache
-    directory) race to an identical complete file and readers never see
-    a truncated archive.
-    """
-    compiled = graph.compiled()
-    arrays = compiled.to_arrays()
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as tmp:
-            np.savez_compressed(
-                tmp,
-                format=np.int64(_TABLE_FORMAT),
-                k=np.int64(graph.k),
-                gen_names=np.array(list(compiled.gen_names)),
-                gen_perms=np.array(
-                    [g.perm.symbols for g in graph.generators],
-                    dtype=np.int16,
-                ),
-                moves=compiled.moves,
-                inverse_moves=compiled.inverse_moves,
-                **arrays,
-            )
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def use_table_cache(
-    graph: CayleyGraph, cache_dir: Union[str, Path]
-) -> Optional[str]:
-    """Load ``<cache_dir>/<graph.name>.npz`` if present, else compute
-    the compiled tables and save them there.
-
-    Returns ``"loaded"``, ``"saved"``, ``"refreshed"`` (a stale,
-    mismatched, or corrupt cache file was recomputed and overwritten),
-    or ``None`` (graph not materialisable).  Shared by the CLI's
-    ``--table-cache`` flag and the experiment sweeps.
-
-    A cold cache is **stampede-safe**: computing and saving happens
-    under a host-level advisory lock (:func:`repro.core.tablestore.
-    host_lock`, keyed on the cache file, lock file alongside it), so N
-    processes missing simultaneously run one BFS between them — the
-    first computes and saves, the rest block briefly and load the file
-    it published.
-    """
-    if not graph.can_compile():
-        return None
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{graph.name}.npz"
-    stale = False
-    if path.exists():
-        try:
-            load_compiled_tables(graph, path)
-            return "loaded"
-        except (ValueError, KeyError, EOFError, OSError,
-                zipfile.BadZipFile):
-            # ValueError: format/metadata mismatch.  BadZipFile /
-            # OSError / EOFError: truncated or corrupt archive.
-            # KeyError: an expected array is missing.  All mean the
-            # same thing here: recompute and overwrite the file.
-            stale = True
-    with host_lock(_path_lock_key("npz", path)):
-        # Double-checked under the lock: whoever held it before us has
-        # probably published the file we missed.
-        if not stale and path.exists():
-            try:
-                load_compiled_tables(graph, path)
-                return "loaded"
-            except (ValueError, KeyError, EOFError, OSError,
-                    zipfile.BadZipFile):
-                stale = True
-        graph.compiled().distances  # run the shared BFS once
-        save_compiled_tables(graph, path)
-    return "refreshed" if stale else "saved"
-
-
-def load_compiled_tables(
-    graph: CayleyGraph, path: Union[str, Path]
-) -> CompiledGraph:
-    """Rebuild a :class:`CompiledGraph` from :func:`save_compiled_tables`
-    output, validate it against ``graph``, and install it as the graph's
-    backend (so every statistic/table/tree consumer reuses it)."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        fmt = int(data["format"])
-        if fmt not in _READABLE_TABLE_FORMATS:
-            raise ValueError(f"unsupported table format {fmt}")
-        if int(data["k"]) != graph.k:
-            raise ValueError(
-                f"table is for k={int(data['k'])}, graph has k={graph.k}"
-            )
-        names = tuple(str(n) for n in data["gen_names"])
-        perms = [tuple(int(s) for s in row) for row in data["gen_perms"]]
-        expected = [(g.name, g.perm.symbols) for g in graph.generators]
-        if list(zip(names, perms)) != expected:
-            raise ValueError(
-                f"table generators do not match {graph.name}"
-            )
-        compiled = CompiledGraph.from_arrays(
-            graph,
-            distances=data["distances"],
-            first_hop=data["first_hop"],
-            parent=data["parent"],
-            parent_gen=data["parent_gen"],
-            order=data["order"],
-            layer_starts=data["layer_starts"],
-            # v1 archives lack the move tables; they stay lazy there.
-            moves=data["moves"] if fmt >= 2 else None,
-            inverse_moves=data["inverse_moves"] if fmt >= 2 else None,
-        )
-    graph.adopt_compiled(compiled)
-    return compiled
-
-
-# ----------------------------------------------------------------------
 # Shared table stores: one copy per host (create / attach / release)
 # ----------------------------------------------------------------------
 
@@ -328,21 +167,24 @@ def attach_compiled_tables(
 ) -> Tuple[CompiledGraph, str]:
     """Attach-first acquisition of a graph's compiled tables.
 
-    The serving stack's one entry point for ``--shared-tables``: give
-    every process on a host read-only views of **one** copy of the
-    family's arrays instead of a private copy each.
+    The one entry point for tables that outlive or are shared beyond a
+    single compile: ``--table-cache``, ``--shared-tables``, the serve
+    engine and the experiment sweeps.  Every process on a host gets
+    read-only views of **one** copy of the family's arrays:
 
-    * with ``cache_dir``: the store is an mmap'd ``.npy`` directory
-      under it (page-cache shared, survives restarts);
+    * with ``cache_dir``: the mmap'd ``.npy`` directory store
+      ``<cache_dir>/<name>.tables`` (page-cache shared, survives
+      restarts);
     * without: a named shared-memory segment
       (:func:`repro.core.tablestore.segment_name`).
 
     Attach is tried first; on a miss the host lock for the store is
     taken, attach retried (someone else usually built it while we
     waited), and only then are the tables compiled and the store
-    created — N cold workers run one BFS between them.  Any failure
-    (no shared memory on the platform, lock timeout, corrupt store
-    that cannot be replaced) degrades to a private in-process compile.
+    created — N cold workers run one BFS between them.  A store that
+    fails validation (manifest, shapes, CRC32s) is replaced.  Any
+    other failure (no shared memory on the platform, lock timeout, an
+    unusable cache path) degrades to a private in-process compile.
 
     Returns ``(compiled, mode)`` with mode ``"attach"``, ``"create"``,
     or ``"fallback"``; the compiled view is installed as the graph's
@@ -364,13 +206,13 @@ def attach_compiled_tables(
         graph.adopt_compiled(compiled)
         return compiled, mode
 
-    digest = tablestore.store_digest(graph)
     if cache_dir is not None:
-        lock_key = _path_lock_key(
-            "store", Path(cache_dir) / graph.name
-        )
+        # Keyed on the resolved store path; the lock file lives in the
+        # host lock directory, so the cache directory holds only stores.
+        where = str(tablestore.store_dir(graph, cache_dir).resolve())
+        lock_key = f"store-{hashlib.sha1(where.encode()).hexdigest()[:12]}"
     else:
-        lock_key = f"store-{digest}"
+        lock_key = f"store-{tablestore.store_digest(graph)}"
     try:
         try:
             return _adopt(_attach(), "attach")
@@ -388,9 +230,6 @@ def attach_compiled_tables(
             except TableStoreError:
                 rebuild = True
             if cache_dir is not None:
-                # Reuse (or seed) the .npz cache for the BFS itself,
-                # then publish the mmap store next to it.
-                use_table_cache(graph, cache_dir)
                 handle = tablestore.create_dir_store(graph, cache_dir)
             else:
                 if rebuild:
@@ -403,11 +242,8 @@ def attach_compiled_tables(
         raise
     except (TableStoreError, OSError, ValueError, MemoryError):
         # The shared path is an optimisation, never a requirement:
-        # compile privately (still honouring the .npz cache) and report
-        # the degradation as "fallback" so the serve.table_attach
-        # counter surfaces it.
-        if cache_dir is not None:
-            use_table_cache(graph, cache_dir)
+        # compile privately and report the degradation as "fallback"
+        # so the serve.table_attach counter surfaces it.
         compiled = graph.compiled()
         compiled.distances
         return compiled, "fallback"

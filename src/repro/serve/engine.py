@@ -16,8 +16,8 @@ requests into its batch calls, the worker pool
 returns so the CLI and the server are diff-testable against each other.
 
 Two bounded LRU caches (:class:`~repro.core.lru.LRUCache`) keep a
-long-running process flat: warm compiled graphs (optionally loaded from
-a ``.npz`` table cache via :func:`repro.io.use_table_cache`) and
+long-running process flat: warm compiled graphs (optionally attached
+from a table store via :func:`repro.io.attach_compiled_tables`) and
 per-target reverse-BFS route tables for hotspot traffic.  Evictions
 surface on the ``serve.table_evictions`` counter.
 
@@ -339,17 +339,15 @@ class QueryEngine:
     Parameters
     ----------
     table_cache:
-        Optional directory of persisted ``.npz`` BFS tables
-        (:func:`repro.io.use_table_cache`); warm graphs load from it
-        and newly compiled graphs are saved back.
+        Optional directory of compiled-table stores: warm graphs attach
+        the mmap'd store ``<table_cache>/<name>.tables``, creating it on
+        a miss (:func:`repro.io.attach_compiled_tables`).
     shared_tables:
-        Attach-first table acquisition
-        (:func:`repro.io.attach_compiled_tables`): warm graphs are
-        zero-copy read-only views of one host-shared store — an mmap'd
-        directory under ``table_cache`` when given, a named
-        shared-memory segment otherwise — and only degrade to a private
-        compile when the shared path fails.  Each acquisition
-        increments ``serve.table_attach`` with a
+        Without ``table_cache``, attach a named shared-memory segment
+        the same way instead of compiling privately.  Either store
+        gives zero-copy read-only views of one host-wide copy, and
+        degrades to a private compile only when the shared path fails.
+        Each acquisition increments ``serve.table_attach`` with a
         ``mode=create|attach|fallback`` label.
     on_table_create:
         Called with the segment name whenever this engine *creates* a
@@ -408,7 +406,7 @@ class QueryEngine:
 
     def network(self, spec: Dict[str, object]) -> SuperCayleyNetwork:
         """The warm network for a spec dict (LRU-cached, optionally
-        table-cache loaded)."""
+        attached from a table store)."""
         if not isinstance(spec, dict) or "family" not in spec:
             raise QueryError(f"bad network spec {spec!r}")
         key = spec_key(spec)
@@ -427,12 +425,8 @@ class QueryEngine:
                     f"{net.name} is not materialisable (k = {net.k}); "
                     "the serve engine only answers compiled instances"
                 )
-            if self.shared_tables:
+            if self.shared_tables or self.table_cache is not None:
                 self._acquire_shared(net)
-            elif self.table_cache is not None:
-                from ..io import use_table_cache
-
-                use_table_cache(net, self.table_cache)
             self._graphs.put(key, net)
         return net
 

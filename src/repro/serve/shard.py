@@ -183,16 +183,19 @@ class ShardPool:
     queue_depth:
         Bound on each shard's dispatch queue — the backpressure limit.
     table_cache:
-        Passed to every worker's engine (shared warm ``.npz`` tables;
-        safe under concurrent writers since the writes are atomic).
+        Passed to every worker's engine: each warm family attaches its
+        mmap'd store under this directory, and the host lock lets one
+        worker create a missing store while the rest wait and attach.
     shared_tables:
         One host copy of each family's compiled arrays: workers attach
         read-only (:func:`repro.io.attach_compiled_tables`) instead of
-        compiling privately.  Call :meth:`prepare_shared_tables` before
-        traffic to create the stores once in the parent; segments
-        created lazily by a cold worker ship their names up so the
-        parent still owns every unlink, and :meth:`close` releases them
-        all — a crashed worker can never leak ``/dev/shm``.
+        compiling privately — a shared-memory segment unless
+        ``table_cache`` names a directory.  Call
+        :meth:`prepare_shared_tables` before traffic to create the
+        stores once in the parent; segments created lazily by a cold
+        worker ship their names up so the parent still owns every
+        unlink, and :meth:`close` releases them all — a crashed worker
+        can never leak ``/dev/shm``.
     restart:
         Restart crashed workers (on by default).  Restarting preserves
         the shard's queued requests; only requests the dead worker had

@@ -18,7 +18,7 @@ from repro.comm.spanning_trees import (
     _object_bfs_spanning_tree,
     bfs_spanning_tree,
 )
-from repro.core import MAX_COMPILE_K, CompiledGraph
+from repro.core import MAX_COMPILE_K, CompiledGraph, tablestore
 from repro.core.compiled import (
     parity_array,
     permutation_table,
@@ -27,7 +27,7 @@ from repro.core.compiled import (
 )
 from repro.core.permutations import Permutation, factorial
 from repro.emulation import CommModel
-from repro.io import load_compiled_tables, save_compiled_tables
+from repro.io import attach_compiled_tables
 from repro.networks import make_network
 from repro.routing.tables import RoutingTable
 
@@ -280,19 +280,21 @@ class TestSimulatorEquivalence:
 
 
 # ----------------------------------------------------------------------
-# npz table persistence (repro.io) and the CLI cache flag
+# on-disk table stores (repro.io) and the CLI cache flag
 # ----------------------------------------------------------------------
 
 
 class TestTableCache:
-    def test_npz_round_trip(self, tmp_path):
+    def test_store_round_trip(self, tmp_path):
         net = make_network("MS", l=2, n=2)
         reference = net.compiled()
-        path = tmp_path / "ms22.npz"
-        save_compiled_tables(net, path)
+        creator = make_network("MS", l=2, n=2)
+        _, mode = attach_compiled_tables(creator, cache_dir=tmp_path)
+        assert mode == "create"
 
         fresh = make_network("MS", l=2, n=2)
-        loaded = load_compiled_tables(fresh, path)
+        loaded, mode = attach_compiled_tables(fresh, cache_dir=tmp_path)
+        assert mode == "attach"
         assert fresh.compiled() is loaded  # installed as the backend
         np.testing.assert_array_equal(
             loaded.distances, reference.distances
@@ -312,28 +314,13 @@ class TestTableCache:
 
     def test_load_refuses_mismatched_network(self, tmp_path):
         ms = make_network("MS", l=2, n=2)
-        path = tmp_path / "ms22.npz"
-        save_compiled_tables(ms, path)
+        tablestore.create_dir_store(ms, tmp_path)
         rs = make_network("RS", l=2, n=2)
-        with pytest.raises(ValueError, match="do not match"):
-            load_compiled_tables(rs, path)
-
-    def test_use_table_cache_states(self, tmp_path):
-        from repro.io import use_table_cache
-
-        net = make_network("MS", l=2, n=2)
-        assert use_table_cache(net, tmp_path) == "saved"
-        fresh = make_network("MS", l=2, n=2)
-        assert use_table_cache(fresh, tmp_path) == "loaded"
-        # a mismatched file under this network's name gets recomputed
-        rs = make_network("RS", l=2, n=2)
-        save_compiled_tables(rs, tmp_path / "MS(2,2).npz")
-        stale = make_network("MS", l=2, n=2)
-        assert use_table_cache(stale, tmp_path) == "refreshed"
-        assert stale.diameter() == net.diameter()
-        # not materialisable: a no-op
-        big = make_network("MS", l=5, n=2)
-        assert use_table_cache(big, tmp_path) is None
+        tablestore.store_dir(ms, tmp_path).rename(
+            tablestore.store_dir(rs, tmp_path)
+        )
+        with pytest.raises(tablestore.TableStoreError, match="mismatch"):
+            tablestore.attach_dir_store(rs, tmp_path)
 
     def test_properties_sweep_uses_table_cache(self, tmp_path):
         from repro.experiments.runners import properties_sweep
@@ -344,7 +331,7 @@ class TestTableCache:
             )
         )
         assert len(rows) == 1
-        assert (tmp_path / "MS(2,2).npz").exists()
+        assert (tmp_path / "MS(2,2).tables").exists()
         again = list(
             properties_sweep(
                 instances=(("MS", 2, 2),), table_cache=str(tmp_path)
@@ -362,9 +349,23 @@ class TestTableCache:
         ]
         assert main(argv) == 0
         err = capsys.readouterr().err
-        assert "table cache: saved" in err
-        assert (tmp_path / "tables" / "MS(2,2).npz").exists()
+        assert "table cache: create" in err
+        assert (tmp_path / "tables" / "MS(2,2).tables").exists()
 
         assert main(argv) == 0
         err = capsys.readouterr().err
-        assert "table cache: loaded" in err
+        assert "table cache: attach" in err
+
+    def test_cli_table_cache_skips_uncompilable(self, tmp_path, capsys):
+        """k = 11 tables cannot be materialised: the flag is a no-op."""
+        from repro.cli import main
+
+        cache = tmp_path / "tables"
+        argv = [
+            "route", "MS", "--l", "5", "--n", "2",
+            "--source", "2,1,3,4,5,6,7,8,9,10,11",
+            "--table-cache", str(cache),
+        ]
+        assert main(argv) == 0
+        assert "table cache:" not in capsys.readouterr().err
+        assert not cache.exists()

@@ -8,7 +8,6 @@ from repro.embeddings import embed_star, embed_transposition_network
 from repro.emulation import allport_schedule
 from repro.io import (
     load_schedule,
-    use_table_cache,
     load_word_embedding,
     network_from_spec,
     network_spec,
@@ -61,83 +60,6 @@ class TestScheduleIo:
         data["entries"] = data["entries"][:-1]  # drop a transmission
         with pytest.raises(AssertionError):
             schedule_from_dict(data)
-
-
-class TestTableCache:
-    def test_save_then_load(self, tmp_path):
-        assert use_table_cache(InsertionSelection(4), tmp_path) == "saved"
-        assert use_table_cache(InsertionSelection(4), tmp_path) == "loaded"
-
-    def test_corrupt_cache_is_refreshed(self, tmp_path):
-        """A cache file that is not even a zip archive must be
-        recomputed and overwritten, not crash the run."""
-        net = InsertionSelection(4)
-        use_table_cache(net, tmp_path)
-        path = tmp_path / f"{net.name}.npz"
-        path.write_bytes(b"this is not a zip archive")
-        assert use_table_cache(InsertionSelection(4), tmp_path) \
-            == "refreshed"
-        # The rewritten file is healthy again.
-        assert use_table_cache(InsertionSelection(4), tmp_path) == "loaded"
-
-    def test_truncated_cache_is_refreshed(self, tmp_path):
-        """A partially-written archive (killed mid-save) is refreshed."""
-        net = InsertionSelection(4)
-        use_table_cache(net, tmp_path)
-        path = tmp_path / f"{net.name}.npz"
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        assert use_table_cache(InsertionSelection(4), tmp_path) \
-            == "refreshed"
-
-    def test_mismatched_cache_is_refreshed(self, tmp_path):
-        """Tables saved under one network's name but for a different
-        graph fail validation and are recomputed."""
-        other = MacroStar(3, 1)  # also k = 4, different generators
-        use_table_cache(other, tmp_path)
-        net = InsertionSelection(4)
-        wrong = tmp_path / f"{net.name}.npz"
-        (tmp_path / f"{other.name}.npz").rename(wrong)
-        assert use_table_cache(net, tmp_path) == "refreshed"
-
-    def test_concurrent_writers_leave_a_loadable_cache(self, tmp_path):
-        """Several processes saving the same table at once (serve
-        shards warming one cache directory) must each succeed and
-        leave a complete, loadable archive — the tempfile +
-        ``os.replace`` write is atomic, so readers never see a
-        truncated file and no temp debris survives."""
-        import multiprocessing
-        import os
-
-        ctx = multiprocessing.get_context()
-        barrier = ctx.Barrier(4)
-        out = ctx.Queue()
-        workers = [
-            ctx.Process(target=_warm_cache, args=(str(tmp_path), barrier, out))
-            for _ in range(4)
-        ]
-        for w in workers:
-            w.start()
-        statuses = [out.get(timeout=60) for _ in workers]
-        for w in workers:
-            w.join(timeout=60)
-        assert all(s in ("saved", "loaded", "refreshed") for s in statuses), \
-            statuses
-        # the survivor is healthy, and no temp files were left behind
-        assert use_table_cache(InsertionSelection(4), tmp_path) == "loaded"
-        assert os.listdir(tmp_path) == ["IS(4).npz"]
-
-
-def _warm_cache(cache_dir, barrier, out):
-    """Worker for the concurrent-writer test (module-level so it
-    pickles under the spawn start method)."""
-    net = InsertionSelection(4)
-    net.compiled().distances  # compute before the barrier: racier saves
-    barrier.wait()
-    try:
-        out.put(use_table_cache(net, cache_dir))
-    except Exception as exc:  # pragma: no cover - failure detail
-        out.put(f"error: {type(exc).__name__}: {exc}")
 
 
 class TestWordEmbeddingIo:

@@ -344,7 +344,7 @@ class TestEngineProtocol:
         assert engine.execute({
             "op": "properties", "network": spec,
         })["ok"]
-        assert (tmp_path / "IS(4).npz").exists()
+        assert (tmp_path / "IS(4).tables").exists()
         warm = QueryEngine(table_cache=str(tmp_path))
         assert warm.execute({
             "op": "properties", "network": spec,
