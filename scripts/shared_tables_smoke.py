@@ -1,14 +1,18 @@
 """CI shared-tables smoke: a 4-worker shard pool with shared tables
 must answer byte-identically to a private engine, close its accounting,
 and leave **nothing** behind in ``/dev/shm`` after drain — including
-when one worker is crashed mid-run.
+when one worker is crashed mid-run.  A second 4-worker pool given only
+a table-cache directory must do the same through the mmap'd store,
+leaving exactly that store in the directory.
 
 Run with ``PYTHONPATH=src python scripts/shared_tables_smoke.py``;
 exits non-zero with a message on the first violated assertion.
 """
 
 import glob
+import os
 import sys
+import tempfile
 
 from repro.core import tablestore
 from repro.serve import QueryEngine
@@ -63,8 +67,22 @@ def main():
           f"pool drain leaked segments: {tablestore.list_host_segments()}")
     check(not leftover_segments(),
           f"leftover /dev/shm entries: {leftover_segments()}")
-    print("shared-tables smoke OK: 4-worker pool byte-identical, "
-          f"{stats['submitted']} requests closed, /dev/shm clean")
+
+    with tempfile.TemporaryDirectory() as cache:
+        with ShardPool(num_shards=4, table_cache=cache) as pool:
+            responses = pool.execute_many([dict(r) for r in REQUESTS])
+            check(responses == expected,
+                  "table-cache responses diverge from the private engine")
+            dir_stats = pool.stats()
+            check(dir_stats["closed"],
+                  f"table-cache accounting did not close: {dir_stats}")
+        check(os.listdir(cache) == ["MS(2,3).tables"],
+              f"table cache holds {os.listdir(cache)}")
+    check(not leftover_segments(),
+          f"table-cache pool left /dev/shm entries: {leftover_segments()}")
+    print("shared-tables smoke OK: 4-worker pools byte-identical "
+          f"(shared memory: {stats['submitted']} requests, table cache: "
+          f"{dir_stats['submitted']} requests) closed, /dev/shm clean")
 
 
 if __name__ == "__main__":
