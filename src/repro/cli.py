@@ -23,6 +23,8 @@ import sys
 from contextlib import ExitStack
 from typing import List, Optional
 
+import numpy as np
+
 from .analysis import moore_diameter_lower_bound, network_profile
 from .core.bag import BallArrangementGame
 from .core.permutations import Permutation
@@ -189,7 +191,7 @@ def cmd_route(args) -> int:
     tracer = get_tracer()
     with tracer.span("cli.route", network=net.name, source=str(source),
                      target=str(target)) as sp:
-        from .serve.engine import algorithmic_route, route_payload
+        from .serve.engine import algorithmic_route, route_payloads
 
         word = algorithmic_route(
             net, source, target, simplify=not args.raw
@@ -204,10 +206,11 @@ def cmd_route(args) -> int:
     if args.json:
         # The exact per-pair payload the serve engine's route op emits
         # (algorithm "algorithmic"), so the two paths diff cleanly.
-        print(json.dumps(
-            route_payload(net, source, target, word, "algorithmic"),
-            indent=1,
-        ))
+        (payload,) = route_payloads(
+            net, np.asarray([source.symbols]), np.asarray([target.symbols]),
+            [word], "algorithmic",
+        )
+        print(json.dumps(payload, indent=1))
         return 0
     print(f"network       : {net.name}")
     print(f"star distance : {star_distance_between(source, target)}")

@@ -3,6 +3,7 @@ for super Cayley networks, and bidirectional BFS for large instances."""
 
 from .star_routing import (
     star_distance,
+    star_distance_array,
     star_distance_between,
     star_eccentricity,
     star_route,
@@ -42,6 +43,7 @@ __all__ = [
     "star_route_to_identity_randomized",
     "star_route",
     "star_distance",
+    "star_distance_array",
     "star_distance_between",
     "star_eccentricity",
     "expand_star_word",

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from ..core.permutations import Permutation
 
 
@@ -125,6 +127,28 @@ def star_distance(node: Permutation) -> int:
     if node(1) == 1:
         return m + c
     return m + c - 2
+
+
+def star_distance_array(labels: np.ndarray) -> np.ndarray:
+    """:func:`star_distance` row-wise over an ``(m, k)`` label matrix.
+
+    The closed form's ``m + c`` equals ``k + cycles - 2 * fixed`` when
+    ``cycles`` counts fixed points too.  The rows form one permutation
+    of ``rows * k`` points; pointer doubling (``ceil(log2 k)`` rounds)
+    gives each point the smallest point of its cycle, so each cycle is
+    counted once, at its minimum.
+    """
+    p = np.asarray(labels, dtype=np.int64) - 1
+    rows, k = p.shape
+    points = np.arange(rows * k)
+    step = (p + k * np.arange(rows)[:, None]).ravel()
+    low = points
+    for _ in range((k - 1).bit_length()):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    cycles = (low == points).reshape(rows, k).sum(axis=1)
+    fixed = (p == np.arange(k)).sum(axis=1)
+    return k + cycles - 2 * fixed - 2 * (p[:, 0] != 0)
 
 
 def star_distance_between(u: Permutation, v: Permutation) -> int:

@@ -31,8 +31,7 @@ from .engine import (
     parse_ids,
     parse_node,
     parse_symbols,
-    relative_ranks,
-    route_payload,
+    route_payloads,
     validate_symbols,
 )
 from .server import AdaptiveWindow, QueryServer, ServerThread
@@ -71,10 +70,9 @@ __all__ = [
     "parse_symbols",
     "percentile",
     "query_server",
-    "relative_ranks",
     "replay_trace",
     "requests_from_pairs",
-    "route_payload",
+    "route_payloads",
     "run_loadgen",
     "sample_traces",
     "save_trace",

@@ -195,6 +195,23 @@ class TestRouteJson:
         assert payload["algorithm"] == "algorithmic"
         assert payload["hops"] >= payload["optimal"] >= 1
 
+    def test_json_uncompilable_network(self, capsys):
+        """Beyond compile range (k = 11) there is no table to read
+        ``optimal`` from, and labels take the comma form."""
+        import json
+
+        code, out = run(
+            capsys, "route", "MS", "--l", "5", "--n", "2",
+            "--source", "2,1,3,4,5,6,7,8,9,10,11", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["source"] == "2,1,3,4,5,6,7,8,9,10,11"
+        assert payload["target"] == "1,2,3,4,5,6,7,8,9,10,11"
+        assert payload["star_distance"] == 1
+        assert payload["optimal"] is None
+        assert payload["hops"] == len(payload["word"]) >= 1
+
 
 class TestLoadgen:
     def test_self_serve_smoke_accounting_closes(self, capsys):

@@ -23,6 +23,8 @@ from repro.core.compiled import (
     parity_array,
     permutation_table,
     rank_array,
+    tree_word,
+    tree_words,
     unrank_array,
 )
 from repro.core.permutations import Permutation, factorial
@@ -177,6 +179,23 @@ class TestDifferentialBfs:
             assert fast.distance(source, target) == slow.distance(
                 source, target
             )
+
+    @pytest.mark.parametrize(
+        "family,kwargs", ALL_FAMILIES + [("IS", {"k": 5})],
+        ids=[f for f, _ in ALL_FAMILIES] + ["IS5"],
+    )
+    def test_tree_words_match_tree_word(self, family, kwargs):
+        """The batch walk gives every rank (the root's empty word
+        included) the word the scalar walk gives it."""
+        compiled = make_network(family, **kwargs).compiled()
+        ids = np.arange(compiled.num_nodes)
+        words = tree_words(compiled.parent, compiled.parent_gen, ids,
+                           compiled.distances)
+        assert words[0] == []
+        assert words == [
+            tree_word(compiled.parent, compiled.parent_gen, 0, i)
+            for i in ids.tolist()
+        ]
 
     def test_reverse_distances(self, net):
         compiled = net.compiled()

@@ -3,6 +3,7 @@ routing, and bidirectional BFS."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from repro.routing import (
     sc_route,
     simplify_word,
     star_distance,
+    star_distance_array,
     star_distance_between,
     star_eccentricity,
     star_route,
@@ -87,6 +89,16 @@ class TestStarRouting:
     def test_distance_within_diameter(self, rank):
         p = Permutation.unrank(7, rank)
         assert 0 <= star_distance(p) <= star_eccentricity(7)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_distance_array_matches_formula(self, k):
+        """The vectorised cycle count equals ``star_distance`` on every
+        permutation of ``S_k``."""
+        perms = list(Permutation.all_permutations(k))
+        labels = np.asarray([p.symbols for p in perms])
+        assert star_distance_array(labels).tolist() == [
+            star_distance(p) for p in perms
+        ]
 
     def test_eccentricity_attained(self):
         # Some 5-symbol permutation is at distance exactly 6.
