@@ -1,7 +1,10 @@
 """CI frontier smoke: MS(6,1) under an artificially tiny memory budget
 must spill at least 3 layers through disk segments, match the compiled
 BFS layer profile exactly, and leave the spill dir empty on exit —
-including the atexit backstop path for a crashed run.
+including the atexit backstop path for a crashed run.  Then MS(9,1),
+k = 10 and past the compiled engine's reach, profiled in RAM under the
+default budget, must equal the closed-form star(10) layer counts
+(MS(l,1) is isomorphic to star(l+1)).
 
 Run with ``PYTHONPATH=src python scripts/frontier_smoke.py``; exits
 non-zero with a message on the first violated assertion.
@@ -11,6 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.analysis import star_layer_counts
 from repro.frontier import FrontierBFS
 from repro.networks import make_network
 
@@ -90,10 +94,17 @@ def main() -> int:
         check(not run_dir.exists(),
               "run dir survived a successful resumed run")
 
+    big = make_network("MS", l=9, n=1)
+    profile = FrontierBFS(big).run()
+    check(profile.layer_sizes == star_layer_counts(big.k),
+          f"{big.name} profile {profile.layer_sizes} != star("
+          f"{big.k}) closed form {star_layer_counts(big.k)}")
+
     print(f"frontier smoke OK: {net.name} profile {result.layer_sizes} "
           f"under {TINY_BUDGET} bytes, {result.spill_segments} spill "
           f"segments, {result.batches} batches, resume from layer 3 "
-          "clean")
+          f"clean; {big.name} (k = {big.k}) matches the star closed "
+          f"form in {profile.elapsed_seconds:.1f} s")
     return 0
 
 

@@ -11,12 +11,15 @@ and express network parameters through the asymptotic forms
 ``degree = Theta(sqrt(log N / log log N))`` (balanced super Cayley
 graphs with ``l = Theta(n)``) and ``Theta(log N / log log N)`` (star /
 IS networks).  The helpers here make those comparisons concrete for the
-benchmark sweeps.
+benchmark sweeps.  :func:`star_layer_counts` is an exact closed form:
+the k-star's distance profile, which frontier profiles past the
+compiled engine's reach are checked against.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from ..core.permutations import factorial
 
@@ -110,6 +113,46 @@ def profile_within_moore(layer_sizes, degree: int) -> bool:
         if cur > degree * prev:
             return False
     return True
+
+
+def _partitions(n: int, largest: int):
+    """The integer partitions of ``n`` into parts ``<= largest``."""
+    if n == 0:
+        yield []
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield [part] + rest
+
+
+def star_layer_counts(k: int) -> list:
+    """Layer sizes of the k-star from the identity, without a BFS.
+
+    A node's star distance depends only on its cycle type and on
+    whether it moves symbol 1: with ``m`` symbols on ``c`` non-trivial
+    cycles it is ``m + c`` when symbol 1 is fixed and ``m + c - 2``
+    when it is moved (Akers–Krishnamurthy).  A cycle type with ``a_i``
+    cycles of length ``i`` holds ``k! / prod(i^a_i * a_i!)``
+    permutations, a fraction ``a_1 / k`` of which fix symbol 1, so a
+    sum over the integer partitions of ``k`` gives every layer.  MS(l,1)
+    is isomorphic to star(l + 1), so its profile is ``star_layer_counts
+    (l + 1)`` too.
+    """
+    if k < 1:
+        raise ValueError(f"star graph needs k >= 1, got {k}")
+    counts: Counter = Counter()
+    for parts in _partitions(k, k):
+        lengths = Counter(parts)
+        size = factorial(k)
+        for length, count in lengths.items():
+            size //= length ** count * factorial(count)
+        fixed = lengths[1]
+        distance = (k - fixed) + (len(parts) - fixed)  # m + c
+        fixing = size * fixed // k
+        for d, here in ((distance, fixing), (distance - 2, size - fixing)):
+            if here:
+                counts[d] += here
+    return [counts[d] for d in range(max(counts) + 1)]
 
 
 def mnb_time_bound_allport(num_nodes: int, degree: int) -> int:

@@ -4,9 +4,10 @@ The compiled engine (:mod:`repro.core.compiled`) materialises all
 ``k!`` nodes before any analysis runs, which walls the paper's sweeps
 at ``k <= 9``.  This package explores the same graphs **without a node
 table**: encoded uint8 state matrices, batched per-generator expansion,
-sort + ``searchsorted`` dedup over packed state keys, a byte budget
-that fixes batch sizes, and crash-resumable spill-to-disk frontiers.
-Layer profiles, diameters and first hops are byte-identical to the
+dedup against a ``k!``-bit visited map over Lehmer-rank keys (or a
+window of sorted keys when the map does not fit), a byte budget that
+fixes batch sizes, and crash-resumable spill-to-disk frontiers.  Layer
+profiles, contents and discovery order are byte-identical to the
 compiled BFS (same tie-breaks); pair distances come from
 meet-in-the-middle bidirectional search.
 
@@ -21,7 +22,6 @@ machinery behind ``--spill-dir`` / ``--resume``.
 
 from .bidirectional import identity_distance, pair_distance
 from .encoding import (
-    MAX_BITPACK_K,
     MAX_EXACT_KEY_K,
     expand_states,
     generator_columns,
@@ -51,7 +51,6 @@ def sharded_frontier_profile(graph, **kwargs) -> FrontierResult:
 
 
 __all__ = [
-    "MAX_BITPACK_K",
     "MAX_EXACT_KEY_K",
     "DEFAULT_MEMORY_BUDGET",
     "PHI64",

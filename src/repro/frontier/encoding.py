@@ -11,14 +11,15 @@ primitives defined here:
   ``u[g_cols]`` (``(u * g)(i) = u(g(i))``, the same column gather the
   compiled move tables are built from), so "expand a frontier through
   every generator" is one fancy-index per generator;
-* **keys** — each state row folds into one uint64 so that dedup becomes
-  ``sort`` + ``searchsorted`` over flat integer arrays.  For ``k <= 16``
-  the key is the label bit-packed 4 bits per symbol (injective: equal
-  keys *are* equal states); for ``k <= 20`` it is the Lehmer rank
-  (``20! < 2^63``, still exact); beyond that a seeded multiply-fold
-  hash with a documented (astronomically small) collision probability;
-* **membership** — :func:`in_sorted` / :func:`in_any`, vectorised
-  ``searchsorted`` membership against one or many sorted key arrays.
+* **keys** — each state row folds into one uint64.  For ``k <= 20``
+  the key is the Lehmer rank (``20! < 2^63``), so equal keys *are*
+  equal states and every key is a dense index ``0 .. k!-1``; beyond
+  that it is a seeded multiply-fold hash with a documented
+  (astronomically small) collision probability;
+* **membership** — :func:`in_any` tests a key batch against the
+  visited set: a :class:`VisitedMap` (one bit per rank, for exact keys
+  whose ``k!`` bits fit the budget) and/or sorted key arrays, by
+  vectorised ``searchsorted`` (:func:`in_sorted`).
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from ..core.compiled import rank_array
-
-#: largest ``k`` whose labels bit-pack into a uint64 (4 bits/symbol).
-MAX_BITPACK_K = 16
 
 #: largest ``k`` whose Lehmer rank fits a uint64 (``20! < 2^63``).
 MAX_EXACT_KEY_K = 20
@@ -83,25 +81,16 @@ def make_key_fn(k: int, seed: int = 0) -> Tuple[Callable, bool]:
     """The state->uint64 key function for ``k`` symbols.
 
     Returns ``(fn, exact)``: ``fn`` maps an ``(m, k)`` state matrix to
-    an ``(m,)`` uint64 key array; ``exact`` is True when the mapping is
-    injective (bit-pack for ``k <= 16``, Lehmer rank for ``k <= 20``).
-    For larger ``k`` the keys are a seeded multiply-fold hash — dedup
-    may (with probability ~``m^2 / 2^64``) merge two distinct states,
-    which callers surface via :class:`~repro.frontier.engine
-    .FrontierBFS`'s ``exact_keys`` flag.
+    an ``(m,)`` uint64 key array; ``exact`` is True when the key is the
+    Lehmer rank (``k <= 20``) — injective, and a dense index into a
+    :class:`VisitedMap`.  For larger ``k`` the keys are a seeded
+    multiply-fold hash — dedup may (with probability ~``m^2 / 2^64``)
+    merge two distinct states, which callers surface via
+    :class:`~repro.frontier.engine.FrontierBFS`'s ``exact_keys`` flag.
     """
-    if k <= MAX_BITPACK_K:
-        shifts = (np.arange(k, dtype=np.uint64) * np.uint64(4))
-
-        def _bitpack(states: np.ndarray) -> np.ndarray:
-            return (
-                (states.astype(np.uint64) - np.uint64(1)) << shifts
-            ).sum(axis=1, dtype=np.uint64)
-
-        return _bitpack, True
     if k <= MAX_EXACT_KEY_K:
         def _lehmer(states: np.ndarray) -> np.ndarray:
-            return rank_array(states).astype(np.uint64)
+            return rank_array(states).view(np.uint64)
 
         return _lehmer, True
     rng = np.random.default_rng(seed)
@@ -130,13 +119,35 @@ def in_sorted(values: np.ndarray, sorted_ref: np.ndarray) -> np.ndarray:
     return mask
 
 
-def in_any(
-    values: np.ndarray, sorted_refs: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Membership in the union of several sorted key arrays."""
+class VisitedMap:
+    """A packed bit per exact key ``0 .. size-1``: the visited set of a
+    search whose keys are Lehmer ranks, ``size / 8`` bytes however many
+    states it holds."""
+
+    _MASKS = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
+
+    def __init__(self, size: int):
+        self.bits = np.zeros((size + 7) // 8, dtype=np.uint8)
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        idx = keys.view(np.int64)
+        return (
+            (self.bits[idx >> 3] >> (idx & 7).astype(np.uint8)) & 1
+        ).view(bool)
+
+    def add(self, keys: np.ndarray) -> None:
+        idx = keys.view(np.int64)
+        np.bitwise_or.at(self.bits, idx >> 3, self._MASKS[idx & 7])
+
+
+def in_any(values: np.ndarray, refs: Sequence) -> np.ndarray:
+    """Membership in the union of several key sets, each a
+    :class:`VisitedMap` or a sorted key array."""
     seen = np.zeros(values.shape, dtype=bool)
-    for ref in sorted_refs:
-        if ref.size:
+    for ref in refs:
+        if isinstance(ref, VisitedMap):
+            seen |= ref.contains(values)
+        elif ref.size:
             todo = ~seen
             if not todo.any():
                 break
@@ -144,21 +155,17 @@ def in_any(
     return seen
 
 
-def chunk_rows(
-    memory_budget_bytes: int, k: int, degree: int,
-    track_first_hop: bool = False,
-) -> int:
+def chunk_rows(memory_budget_bytes: int, k: int, degree: int) -> int:
     """Frontier rows per expansion batch under a byte budget.
 
     One batch materialises, per frontier row, ``degree`` candidate
-    state rows (``k`` bytes each), their uint64 keys, the stable-sort
-    scratch ``np.unique`` needs, and (optionally) a first-hop tag —
-    roughly ``degree * (k + 24 [+ 1])`` bytes with another 2x headroom
-    for the transient views.  Half the budget goes to this workspace
-    (the other half covers retained keys and the accumulating next
-    layer), with a floor of 32 rows so a pathological budget still
-    makes progress.
+    state rows (``k`` bytes each), their uint64 keys and the
+    stable-sort scratch ``np.unique`` needs — roughly
+    ``degree * (k + 24)`` bytes with another 2x headroom for the
+    transient views.  Half the budget goes to this workspace (the other
+    half covers the visited set and the accumulating next layer), with
+    a floor of 32 rows so a pathological budget still makes progress.
     """
     degree = max(1, degree)
-    per_row = degree * (k + 24 + (1 if track_first_hop else 0)) * 2
+    per_row = degree * (k + 24) * 2
     return max(32, int(memory_budget_bytes) // (2 * per_row))

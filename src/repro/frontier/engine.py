@@ -2,34 +2,44 @@
 
 :class:`FrontierBFS` explores a Cayley/super-Cayley graph from the
 identity one layer at a time, holding only the current frontier (as an
-encoded state matrix), a bounded window of visited-state *keys*, and —
-when a spill dir is given — streaming completed layers through ``.npy``
-segments on disk.  Peak memory is governed by ``memory_budget_bytes``,
-not by ``k!``: the budget fixes the expansion batch size
-(:func:`~repro.frontier.encoding.chunk_rows`) and the spill threshold,
-so MS(9,1)'s 3.6M-state profile completes in tens of MB where
+encoded state matrix), the visited set, and — when a spill dir is
+given — streaming completed layers through ``.npy`` segments on disk.
+Peak memory is governed by ``memory_budget_bytes``, not by the node
+table: the budget fixes the expansion batch size
+(:func:`~repro.frontier.encoding.chunk_rows`), the spill threshold and
+whether the visited set is a ``k!``-bit map, so MS(9,1)'s 3.6M-state
+profile completes in tens of MB where
 :class:`~repro.core.compiled.CompiledGraph` would want hundreds.
 
-Dedup window
-------------
-For **undirected** families (inverse-closed generator sets) a candidate
-at depth ``d+1`` can only collide with depths ``d-1``, ``d`` or ``d+1``
-(adjacent nodes differ by at most one in identity-distance), so the
-engine keeps exactly three key sets: previous layer, current layer, and
-the accumulating next layer.  **Directed** families (rotator nuclei)
-lack that symmetry, so a ring of *all* visited layers' keys is kept —
-8 bytes per state, still far below a materialised table.
+Visited set
+-----------
+Every family is a Cayley graph on Sym(k), so its nodes are exactly the
+Lehmer ranks ``0 .. k!-1``, which are the exact keys for ``k <= 20``.
+When the ``k!``-bit :class:`~repro.frontier.encoding.VisitedMap` fits in
+half the budget (``k <= 11`` at the 64 MiB default), the engine keeps
+that map: each batch tests it once (:func:`~repro.frontier.encoding
+.in_any`) and sets the survivors' bits once, for directed and
+undirected families alike.
+
+Hashed keys (``k > 20``) and maps that do not fit fall back to a window
+of sorted keys, tested by ``searchsorted``.  For **undirected**
+families (inverse-closed generator sets) a candidate at depth ``d+1``
+can only collide with depths ``d-1``, ``d`` or ``d+1`` (adjacent nodes
+differ by at most one in identity-distance), so the window holds three
+key sets: previous layer, current layer, and the accumulating next
+layer.  **Directed** families (rotator nuclei) lack that symmetry, so a
+ring of *all* visited layers' keys is kept — 8 bytes per state.
 
 Tie-break parity
 ----------------
 Candidates are generated frontier-major, generator-minor
 (:func:`~repro.frontier.encoding.expand_states`) and deduped by
 :func:`~repro.core.compiled.first_occurrence`, batch by batch — the exact
-discovery order of the compiled whole-frontier BFS.  Layer contents,
-their order, and first-hop tags are therefore byte-identical to
-``CompiledGraph`` (asserted by ``tests/test_frontier.py``) and
-invariant under ``memory_budget_bytes``: shrinking the budget changes
-batch counts, never results.
+discovery order of the compiled whole-frontier BFS.  Layer contents and
+their order are therefore byte-identical to ``CompiledGraph`` (asserted
+by ``tests/test_frontier.py``) on either visited set, and invariant
+under ``memory_budget_bytes``: shrinking the budget changes batch
+counts, never results.
 """
 
 from __future__ import annotations
@@ -42,10 +52,12 @@ from typing import Callable, List, Optional, Union
 import numpy as np
 
 from ..core.compiled import first_occurrence
+from ..core.permutations import factorial
 from ..core.tablestore import store_digest
 from ..obs import get_registry, get_tracer
 from .encoding import (
     STATE_DTYPE,
+    VisitedMap,
     chunk_rows,
     expand_states,
     generator_columns,
@@ -89,10 +101,8 @@ class FrontierResult:
     #: (see :class:`~repro.frontier.sharded.ShardedFrontierBFS`).
     exchange: Optional[dict] = None
     #: populated only with ``keep_layers=True`` (small-k testing):
-    #: per-layer state matrices in discovery order, plus first-hop tags
-    #: when ``track_first_hop`` was on.
+    #: per-layer state matrices in discovery order.
     layers: Optional[List[np.ndarray]] = None
-    layer_tags: Optional[List[np.ndarray]] = None
 
     @property
     def dedup_ratio(self) -> float:
@@ -137,17 +147,14 @@ class FrontierBFS:
     spill_dir:
         run directory for on-disk frontiers.  Without it, completed
         layers' *states* are dropped as soon as the next layer is done
-        (keys are retained per the dedup window) — fine for profiles,
-        required off for ``resume``.
+        (the visited set remembers them) — fine for profiles, required
+        off for ``resume``.
     resume:
         reopen ``spill_dir`` from its last journaled layer instead of
         starting over (the journal must match this graph's digest).
-    track_first_hop:
-        carry the generator index of each state's first hop (the
-        routing-table column) through expansion.
     keep_layers:
-        retain every layer's states (and tags) in the result — testing
-        aid, defeats the memory bound.
+        retain every layer's states in the result — testing aid,
+        defeats the memory bound.
     on_layer:
         callback ``(depth, size)`` after each completed (and, when
         spilling, journaled) layer — progress hooks and crash tests.
@@ -167,7 +174,6 @@ class FrontierBFS:
         memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET,
         spill_dir: Optional[Union[str, Path]] = None,
         resume: bool = False,
-        track_first_hop: bool = False,
         keep_layers: bool = False,
         key_seed: int = 0,
         on_layer: Optional[Callable[[int, int], None]] = None,
@@ -182,7 +188,6 @@ class FrontierBFS:
         self.memory_budget_bytes = int(memory_budget_bytes)
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.resume = resume
-        self.track_first_hop = track_first_hop
         self.keep_layers = keep_layers
         self.key_seed = key_seed
         self.on_layer = on_layer
@@ -198,9 +203,7 @@ class FrontierBFS:
         degree = len(columns)
         key_fn, exact = make_key_fn(k, self.key_seed)
         undirected = graph.is_undirectable()
-        chunk = chunk_rows(
-            self.memory_budget_bytes, k, degree, self.track_first_hop
-        )
+        chunk = chunk_rows(self.memory_budget_bytes, k, degree)
         spill_threshold = max(4096, self.memory_budget_bytes // 4)
         registry = get_registry()
         started = time.perf_counter()
@@ -212,7 +215,6 @@ class FrontierBFS:
                 "network": graph.name,
                 "k": k,
                 "memory_budget_bytes": self.memory_budget_bytes,
-                "track_first_hop": self.track_first_hop,
             }
             if self.resume:
                 run = FrontierRunDir.resume(self.spill_dir, digest)
@@ -224,19 +226,16 @@ class FrontierBFS:
             else:
                 run = FrontierRunDir.create(self.spill_dir, digest, meta)
 
-        state = _SearchState(
-            key_fn=key_fn, undirected=undirected, degree=degree,
-            track_first_hop=self.track_first_hop,
-        )
+        state = _SearchState(key_fn=key_fn, undirected=undirected)
+        map_bytes = (factorial(k) + 7) // 8
+        if exact and map_bytes <= self.memory_budget_bytes // 2:
+            state.visited = VisitedMap(factorial(k))
         result = FrontierResult(
             network=graph.name, k=k, layer_sizes=[], num_states=0,
             diameter=0, batches=0, candidates=0,
             memory_budget_bytes=self.memory_budget_bytes,
             chunk_rows=chunk, exact_keys=exact, undirected=undirected,
             layers=[] if self.keep_layers else None,
-            layer_tags=(
-                [] if (self.keep_layers and self.track_first_hop) else None
-            ),
         )
 
         with get_tracer().span(
@@ -275,31 +274,21 @@ class FrontierBFS:
 
     def _seed_identity(self, run, state, result, k: int) -> None:
         root = identity_state(k)
-        root_keys = np.sort(state.key_fn(root))
-        state.frontier = _RamLayer([root], [np.zeros(1, dtype=np.uint8)]
-                                   if self.track_first_hop else None)
-        state.cur_keys = root_keys
-        state.prev_keys = np.empty(0, dtype=np.uint64)
-        if not state.undirected:
-            state.ring = [root_keys]
+        root_keys = state.key_fn(root)
+        state.frontier = _RamLayer([root])
+        state.load(lambda _depth: root_keys, 0)
         result.layer_sizes.append(1)
         result.num_states += 1
         if result.layers is not None:
             result.layers.append(root.copy())
-            if result.layer_tags is not None:
-                result.layer_tags.append(np.full(1, -1, dtype=np.int16))
         if run is not None:
-            names = run.write_segment(
-                0, 0, root,
-                np.zeros(1, dtype=np.uint8) if self.track_first_hop
-                else None,
-            )
-            run.commit_layer(0, 1, names[:1], names[1:])
+            run.commit_layer(0, 1, [run.write_segment(0, 0, root)])
         if self.on_layer is not None:
             self.on_layer(0, 1)
 
     def _restore(self, run, state, result) -> None:
-        """Rebuild the in-RAM search window from a journaled run dir."""
+        """Rebuild the visited set and frontier from a journaled run
+        dir, keying every journaled layer the visited set needs."""
         depth = len(run.layers) - 1
         result.resumed_from = depth
         for entry in run.layers:
@@ -309,17 +298,12 @@ class FrontierBFS:
             raise SpillError("keep_layers cannot be combined with resume")
 
         def layer_keys(d: int) -> np.ndarray:
-            parts = [state.key_fn(seg) for seg in run.load_layer(d)]
-            return np.sort(np.concatenate(parts))
+            return np.concatenate(
+                [state.key_fn(seg) for seg in run.load_layer(d)]
+            )
 
-        state.frontier = _DiskLayer(run, depth, self.track_first_hop)
-        state.cur_keys = layer_keys(depth)
-        state.prev_keys = (
-            layer_keys(depth - 1) if depth > 0
-            else np.empty(0, dtype=np.uint64)
-        )
-        if not state.undirected:
-            state.ring = [layer_keys(d) for d in range(depth + 1)]
+        state.frontier = _DiskLayer(run, depth)
+        state.load(layer_keys, depth)
 
     # -- the layer loop --------------------------------------------------
 
@@ -335,10 +319,9 @@ class FrontierBFS:
         while True:
             new = _LayerBuilder(
                 run=run, depth=depth + 1, threshold=spill_threshold,
-                track_tags=self.track_first_hop,
             )
             layer_candidates = 0
-            for states, tags in state.frontier.pieces(chunk):
+            for states in state.frontier.pieces(chunk):
                 t0 = time.perf_counter()
                 cand = expand_states(states, columns)
                 keys = state.key_fn(cand)
@@ -346,16 +329,11 @@ class FrontierBFS:
                 fresh = np.flatnonzero(~in_any(keys, guard))
                 sel = first_occurrence(keys, fresh)
                 if sel.size:
-                    if self.track_first_hop:
-                        if depth == 0:
-                            sel_tags = (sel % state.degree).astype(
-                                np.uint8
-                            )
-                        else:
-                            sel_tags = tags[sel // state.degree]
+                    if state.visited is not None:
+                        state.visited.add(keys[sel])
+                        new.add(cand[sel])
                     else:
-                        sel_tags = None
-                    new.add(cand[sel], np.sort(keys[sel]), sel_tags)
+                        new.add(cand[sel], np.sort(keys[sel]))
                 layer_candidates += int(keys.size)
                 result.batches += 1
                 batch_hist.observe(
@@ -367,16 +345,12 @@ class FrontierBFS:
                 break
             depth += 1
             state.frontier.discard()
-            ram_states, ram_tags = new.seal()
+            ram_states = new.seal()
             if run is not None:
-                run.commit_layer(
-                    depth, size, new.segment_names, new.tag_segment_names
-                )
-                state.frontier = _DiskLayer(
-                    run, depth, self.track_first_hop
-                )
+                run.commit_layer(depth, size, new.segment_names)
+                state.frontier = _DiskLayer(run, depth)
             else:
-                state.frontier = _RamLayer(ram_states, ram_tags)
+                state.frontier = _RamLayer(ram_states)
             result.layer_sizes.append(size)
             result.num_states += size
             result.candidates += layer_candidates
@@ -389,17 +363,11 @@ class FrontierBFS:
                 network=net,
             )
             if result.layers is not None:
-                parts, tag_parts = [], []
-                for piece, piece_tags in state.frontier.pieces(1 << 30):
-                    parts.append(np.array(piece, copy=True))
-                    if piece_tags is not None:
-                        tag_parts.append(piece_tags)
-                result.layers.append(np.concatenate(parts))
-                if result.layer_tags is not None:
-                    result.layer_tags.append(
-                        np.concatenate(tag_parts).astype(np.int16)
-                    )
-            state.rotate(new.merged_keys())
+                result.layers.append(
+                    np.concatenate(list(state.frontier.pieces(1 << 30)))
+                )
+            if state.visited is None:
+                state.rotate(new.merged_keys())
             if self.on_layer is not None:
                 self.on_layer(depth, size)
             if self.max_depth is not None and depth >= self.max_depth:
@@ -414,18 +382,23 @@ class FrontierBFS:
 
 @dataclass
 class _SearchState:
-    """The dedup window plus the current frontier."""
+    """The visited set plus the current frontier.
+
+    ``visited`` is the rank bit map when the engine keeps one; without
+    it the visited set is the sorted-key window, ``prev_keys`` and
+    ``cur_keys`` (undirected) or ``ring`` (directed)."""
 
     key_fn: Callable
     undirected: bool
-    degree: int
-    track_first_hop: bool
     frontier: object = None
+    visited: Optional[VisitedMap] = None
     cur_keys: np.ndarray = None
     prev_keys: np.ndarray = None
     ring: List[np.ndarray] = field(default_factory=list)
 
-    def guard(self) -> List[np.ndarray]:
+    def guard(self) -> list:
+        if self.visited is not None:
+            return [self.visited]
         if self.undirected:
             return [self.cur_keys, self.prev_keys]
         return list(self.ring)
@@ -436,55 +409,51 @@ class _SearchState:
         if not self.undirected:
             self.ring.append(new_keys)
 
+    def load(self, layer_keys: Callable[[int], np.ndarray],
+             depth: int) -> None:
+        """Fill the visited set from layers ``0 .. depth``, where
+        ``layer_keys(d)`` returns layer ``d``'s keys in any order."""
+        if self.visited is not None:
+            for d in range(depth + 1):
+                self.visited.add(layer_keys(d))
+            return
+        first = max(0, depth - 1) if self.undirected else 0
+        window = [np.sort(layer_keys(d)) for d in range(first, depth + 1)]
+        self.cur_keys = window[-1]
+        self.prev_keys = (
+            window[-2] if len(window) > 1 else np.empty(0, dtype=np.uint64)
+        )
+        if not self.undirected:
+            self.ring = window
+
 
 class _RamLayer:
     """A frontier held in RAM as a list of state chunks."""
 
-    def __init__(self, chunks: List[np.ndarray],
-                 tag_chunks: Optional[List[np.ndarray]] = None):
+    def __init__(self, chunks: List[np.ndarray]):
         self.chunks = chunks
-        self.tag_chunks = tag_chunks
 
     def pieces(self, chunk_rows: int):
-        for i, states in enumerate(self.chunks):
-            tags = (
-                self.tag_chunks[i] if self.tag_chunks is not None
-                else None
-            )
+        for states in self.chunks:
             for lo in range(0, states.shape[0], chunk_rows):
-                hi = lo + chunk_rows
-                yield states[lo:hi], (
-                    tags[lo:hi] if tags is not None else None
-                )
+                yield states[lo:lo + chunk_rows]
 
     def discard(self) -> None:
         self.chunks = []
-        self.tag_chunks = None
 
 
 class _DiskLayer:
     """A journaled frontier streamed from its spill segments."""
 
-    def __init__(self, run: FrontierRunDir, depth: int,
-                 track_tags: bool):
+    def __init__(self, run: FrontierRunDir, depth: int):
         self.run = run
         self.depth = depth
-        self.track_tags = track_tags
 
     def pieces(self, chunk_rows: int):
-        entry = self.run.layers[self.depth]
-        for i, name in enumerate(entry["segments"]):
+        for name in self.run.layers[self.depth]["segments"]:
             states = np.load(self.run.path / name)
-            tags = None
-            if self.track_tags:
-                tags = np.load(
-                    self.run.path / entry["tag_segments"][i]
-                )
             for lo in range(0, states.shape[0], chunk_rows):
-                hi = lo + chunk_rows
-                yield states[lo:hi], (
-                    tags[lo:hi] if tags is not None else None
-                )
+                yield states[lo:lo + chunk_rows]
 
     def discard(self) -> None:  # segments stay on disk for resume
         pass
@@ -492,38 +461,33 @@ class _DiskLayer:
 
 class _LayerBuilder:
     """Accumulates the next layer, flushing to spill segments when the
-    in-RAM pending block crosses the threshold."""
+    in-RAM pending block crosses the threshold.  On the sorted-key
+    window path it also keeps the layer's keys (``key_chunks``)."""
 
     def __init__(self, run: Optional[FrontierRunDir], depth: int,
-                 threshold: int, track_tags: bool):
+                 threshold: int):
         self.run = run
         self.depth = depth
         self.threshold = threshold
-        self.track_tags = track_tags
         self.pending: List[np.ndarray] = []
-        self.pending_tags: List[np.ndarray] = []
         self.pending_bytes = 0
-        self.sealed_states: List[np.ndarray] = []
-        self.sealed_tags: List[np.ndarray] = []
         self.key_chunks: List[np.ndarray] = []
         self.segment_names: List[str] = []
-        self.tag_segment_names: List[str] = []
         self.spilled_bytes = 0
         self.size = 0
 
-    def add(self, states: np.ndarray, sorted_keys: np.ndarray,
-            tags: Optional[np.ndarray]) -> None:
+    def add(self, states: np.ndarray,
+            sorted_keys: Optional[np.ndarray] = None) -> None:
         states = np.ascontiguousarray(states, dtype=STATE_DTYPE)
         self.pending.append(states)
-        if tags is not None:
-            self.pending_tags.append(tags)
         self.pending_bytes += states.nbytes
         self.size += states.shape[0]
-        self.key_chunks.append(sorted_keys)
-        if len(self.key_chunks) > 8:
-            self.key_chunks = [
-                np.sort(np.concatenate(self.key_chunks))
-            ]
+        if sorted_keys is not None:
+            self.key_chunks.append(sorted_keys)
+            if len(self.key_chunks) > 8:
+                self.key_chunks = [
+                    np.sort(np.concatenate(self.key_chunks))
+                ]
         if self.run is not None and self.pending_bytes >= self.threshold:
             self._flush()
 
@@ -531,30 +495,19 @@ class _LayerBuilder:
         if not self.pending:
             return
         states = np.concatenate(self.pending)
-        tags = (
-            np.concatenate(self.pending_tags) if self.pending_tags
-            else None
-        )
-        names = self.run.write_segment(
-            self.depth, len(self.segment_names), states, tags
-        )
-        self.segment_names.append(names[0])
-        if tags is not None:
-            self.tag_segment_names.append(names[1])
-        self.spilled_bytes += states.nbytes + (
-            tags.nbytes if tags is not None else 0
-        )
-        self.pending, self.pending_tags, self.pending_bytes = [], [], 0
+        self.segment_names.append(self.run.write_segment(
+            self.depth, len(self.segment_names), states
+        ))
+        self.spilled_bytes += states.nbytes
+        self.pending, self.pending_bytes = [], 0
 
-    def seal(self):
-        """Finish the layer; returns the RAM chunks (states, tags) —
-        empty when everything went to disk."""
+    def seal(self) -> List[np.ndarray]:
+        """Finish the layer; returns its RAM chunks — empty when
+        everything went to disk."""
         if self.run is not None:
             self._flush()
-            return [], None
-        self.sealed_states = self.pending
-        self.sealed_tags = self.pending_tags if self.track_tags else None
-        return self.sealed_states, self.sealed_tags
+            return []
+        return self.pending
 
     def merged_keys(self) -> np.ndarray:
         if not self.key_chunks:

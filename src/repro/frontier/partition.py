@@ -21,7 +21,7 @@ stable:
 
 Taking the *top* ``b`` bits of the product (rather than ``key % W``)
 keeps the partition balanced even for structured key populations —
-bit-packed and Lehmer keys are dense in the low bits — because
+Lehmer-rank keys are dense in the low bits — because
 multiplying by the odd constant ``PHI64`` diffuses every input bit
 into the high output bits.
 """

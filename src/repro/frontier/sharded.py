@@ -40,7 +40,7 @@ key *set* per layer equals the single-process engine's, which equals
 the compiled BFS's (asserted on all ten families in
 ``tests/test_frontier_sharded.py``).  Discovery *order* within a layer
 differs (arrival order replaces frontier order), which is why the
-sharded engine does not offer ``track_first_hop`` / ``keep_layers``.
+sharded engine does not offer ``keep_layers``.
 
 Failure semantics: a dead worker fails the run with
 :class:`ShardWorkerDied` (never a hang) — the coordinator watches
@@ -186,7 +186,7 @@ class _ShardReceiver:
         guard = self.window.guard() + self.builder.key_chunks
         sel = first_occurrence(keys, np.flatnonzero(~in_any(keys, guard)))
         if sel.size:
-            self.builder.add(states[sel], np.sort(keys[sel]), None)
+            self.builder.add(states[sel], np.sort(keys[sel]))
         self.discarded += rows - int(sel.size)
 
     def absorb_message(self, msg) -> None:
@@ -292,7 +292,7 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
         degree = len(columns)
         key_fn, _exact = make_key_fn(k, key_seed)
         undirected = graph.is_undirectable()
-        chunk = chunk_rows(worker_budget, k, degree, False)
+        chunk = chunk_rows(worker_budget, k, degree)
         spill_threshold = max(4096, worker_budget // 4)
         slab_seq = 0
 
@@ -306,10 +306,7 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
                     "workers": num_workers, "key_seed": key_seed,
                 })
 
-        window = _SearchState(
-            key_fn=key_fn, undirected=undirected, degree=degree,
-            track_first_hop=False,
-        )
+        window = _SearchState(key_fn=key_fn, undirected=undirected)
         empty_keys = np.empty(0, dtype=np.uint64)
 
         if resume and run is not None:
@@ -321,21 +318,20 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
             root_keys = np.sort(key_fn(root))
             mine = int(owner_of(root_keys, num_workers)[0]) == index
             if mine:
-                window.frontier = _RamLayer([root], None)
+                window.frontier = _RamLayer([root])
                 window.cur_keys = root_keys
             else:
-                window.frontier = _RamLayer([], None)
+                window.frontier = _RamLayer([])
                 window.cur_keys = empty_keys
             window.prev_keys = empty_keys
             if not undirected:
                 window.ring = [window.cur_keys]
             if run is not None:
                 if mine:
-                    names = run.write_segment(0, 0, root, None)
-                    run.commit_layer(0, 1, names, [])
+                    run.commit_layer(0, 1, [run.write_segment(0, 0, root)])
                 else:
-                    run.commit_layer(0, 0, [], [])
-                window.frontier = _DiskLayer(run, 0, False)
+                    run.commit_layer(0, 0, [])
+                window.frontier = _DiskLayer(run, 0)
             ctrl.send(("ready", [1 if mine else 0], False))
 
         pending = None  # (depth_of_next_layer, builder, receiver)
@@ -355,7 +351,7 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
                 num_layers = cmd[1]
                 run.truncate(num_layers)
                 depth = num_layers - 1
-                window.frontier = _DiskLayer(run, depth, False)
+                window.frontier = _DiskLayer(run, depth)
                 window.cur_keys = layer_keys(depth)
                 window.prev_keys = (
                     layer_keys(depth - 1) if depth > 0 else empty_keys
@@ -368,8 +364,7 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
             elif op == "expand":
                 depth = cmd[1]
                 builder = _LayerBuilder(
-                    run=run, depth=depth + 1,
-                    threshold=spill_threshold, track_tags=False,
+                    run=run, depth=depth + 1, threshold=spill_threshold,
                 )
                 receiver = _ShardReceiver(builder, window, index)
                 pending = (depth + 1, builder, receiver)
@@ -379,7 +374,7 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
                 slab_chunks = 0
                 batches = 0
                 candidates = 0
-                for states, _tags in window.frontier.pieces(chunk):
+                for states in window.frontier.pieces(chunk):
                     cand = expand_states(states, columns)
                     keys = key_fn(cand)
                     buckets, _owners = partition_by_owner(
@@ -437,14 +432,12 @@ def _shard_worker_main(graph, index, num_workers, worker_budget,
                     receiver.absorb_message(msg)
                 size = builder.size
                 window.frontier.discard()
-                ram_states, _ = builder.seal()
+                ram_states = builder.seal()
                 if run is not None:
-                    run.commit_layer(
-                        depth + 1, size, builder.segment_names, []
-                    )
-                    window.frontier = _DiskLayer(run, depth + 1, False)
+                    run.commit_layer(depth + 1, size, builder.segment_names)
+                    window.frontier = _DiskLayer(run, depth + 1)
                 else:
-                    window.frontier = _RamLayer(ram_states, None)
+                    window.frontier = _RamLayer(ram_states)
                 window.rotate(builder.merged_keys())
                 ctrl.send((
                     "layer", depth + 1, size,
@@ -522,9 +515,9 @@ class ShardedFrontierBFS:
         coordinator-side callback ``(depth, global_size)`` after each
         merged layer.
 
-    ``track_first_hop`` / ``keep_layers`` are deliberately absent:
-    within-layer discovery order is arrival order under sharding, so
-    those order-dependent artifacts stay single-process.
+    ``keep_layers`` is deliberately absent: within-layer discovery
+    order is arrival order under sharding, so that order-dependent
+    artifact stays single-process.
     """
 
     def __init__(
@@ -580,7 +573,7 @@ class ShardedFrontierBFS:
             network=graph.name, k=k, layer_sizes=[], num_states=0,
             diameter=0, batches=0, candidates=0,
             memory_budget_bytes=self.memory_budget_bytes,
-            chunk_rows=chunk_rows(worker_budget, k, degree, False),
+            chunk_rows=chunk_rows(worker_budget, k, degree),
             exact_keys=exact, undirected=undirected, workers=W,
             exchange={
                 "sent_rows": 0, "received_rows": 0, "deduped_in": 0,

@@ -2,11 +2,11 @@
 
 A frontier run with ``spill_dir`` set streams every completed layer
 through disk instead of RAM: layer ``d``'s states land as one or more
-``layer_####_####.npy`` segments (plus ``..._tags.npy`` when first-hop
-tracking is on), and a ``journal.json`` is atomically rewritten after
-each *completed* layer.  The journal is the resume point: it names the
-graph (via :func:`repro.core.tablestore.store_digest`), the budget, and
-for each finished layer its size and segment files — everything needed
+``layer_####_####.npy`` segments, and a ``journal.json`` is atomically
+rewritten after each *completed* layer.  The journal is the resume
+point: it names the graph (via
+:func:`repro.core.tablestore.store_digest`), the budget, and for each
+finished layer its size and segment files — everything needed
 to restart the search from the last completed layer after a crash,
 including a SIGKILL that left half-written segments behind (resume
 prunes any file the journal does not claim).
@@ -182,7 +182,7 @@ class FrontierRunDir:
         run.layers = list(data.get("layers") or [])
         run.complete = bool(data.get("complete"))
         for entry in run.layers:
-            for name in entry["segments"] + entry.get("tag_segments", []):
+            for name in entry["segments"]:
                 if not (path / name).exists():
                     raise SpillError(
                         f"journaled segment {name} missing from {path}"
@@ -209,31 +209,23 @@ class FrontierRunDir:
         names = {JOURNAL_NAME}
         for entry in self.layers:
             names.update(entry["segments"])
-            names.update(entry.get("tag_segments", []))
         return names
 
     # -- segments -------------------------------------------------------
 
-    def segment_name(self, depth: int, index: int,
-                     tags: bool = False) -> str:
-        suffix = "_tags" if tags else ""
-        return f"layer_{depth:04d}_{index:04d}{suffix}.npy"
+    def segment_name(self, depth: int, index: int) -> str:
+        return f"layer_{depth:04d}_{index:04d}.npy"
 
-    def write_segment(self, depth: int, index: int, states: np.ndarray,
-                      tags: Optional[np.ndarray] = None
-                      ) -> List[str]:
-        """Write one (states [+ tags]) segment; returns the file names.
-        Not journaled yet — :meth:`commit_layer` publishes them."""
-        names = [self.segment_name(depth, index)]
-        np.save(self.path / names[0], states)
-        if tags is not None:
-            names.append(self.segment_name(depth, index, tags=True))
-            np.save(self.path / names[1], tags)
-        return names
+    def write_segment(self, depth: int, index: int,
+                      states: np.ndarray) -> str:
+        """Write one states segment; returns its file name.  Not
+        journaled yet — :meth:`commit_layer` publishes it."""
+        name = self.segment_name(depth, index)
+        np.save(self.path / name, states)
+        return name
 
     def commit_layer(self, depth: int, size: int,
-                     segments: List[str],
-                     tag_segments: Optional[List[str]] = None) -> None:
+                     segments: List[str]) -> None:
         """Publish a completed layer: segments become journaled (and so
         survive the orphan prune / become the resume point)."""
         if depth != len(self.layers):
@@ -245,16 +237,15 @@ class FrontierRunDir:
             "depth": depth,
             "size": int(size),
             "segments": list(segments),
-            "tag_segments": list(tag_segments or []),
         })
         self._write_journal()
 
-    def load_layer(self, depth: int, tags: bool = False
-                   ) -> List[np.ndarray]:
+    def load_layer(self, depth: int) -> List[np.ndarray]:
         """The committed segments of layer ``depth``, in write order."""
-        entry = self.layers[depth]
-        names = entry["tag_segments"] if tags else entry["segments"]
-        return [np.load(self.path / name) for name in names]
+        return [
+            np.load(self.path / name)
+            for name in self.layers[depth]["segments"]
+        ]
 
     def truncate(self, num_layers: int) -> List[str]:
         """Drop journaled layers beyond the first ``num_layers``.
@@ -276,7 +267,7 @@ class FrontierRunDir:
         self._write_journal()
         removed: List[str] = []
         for entry in dropped:
-            for name in entry["segments"] + entry.get("tag_segments", []):
+            for name in entry["segments"]:
                 try:
                     (self.path / name).unlink()
                     removed.append(name)

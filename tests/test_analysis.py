@@ -16,6 +16,7 @@ from repro.analysis import (
     moore_diameter_lower_bound,
     network_profile,
     star_degree_asymptotic,
+    star_layer_counts,
     te_time_bound_allport,
     traffic_is_uniform,
 )
@@ -56,6 +57,33 @@ class TestMooreBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             moore_diameter_lower_bound(0, 5)
+
+
+class TestStarLayerCounts:
+    """The closed-form k-star profile against BFS profiles; MS(k-1,1)
+    is isomorphic to star(k)."""
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_matches_compiled_profiles(self, k):
+        counts = star_layer_counts(k)
+        assert counts == StarGraph(k).compiled().distance_distribution()
+        assert counts == (
+            MacroStar(k - 1, 1).compiled().distance_distribution()
+        )
+
+    def test_matches_frontier_profile_past_small_k(self):
+        from repro.frontier import FrontierBFS
+
+        result = FrontierBFS(MacroStar(8, 1)).run()
+        assert result.layer_sizes == star_layer_counts(9)
+
+    def test_totals_and_diameter(self):
+        for k in range(1, 21):
+            counts = star_layer_counts(k)
+            assert sum(counts) == factorial(k)
+            assert len(counts) - 1 == StarGraph.diameter_formula(k)
+        with pytest.raises(ValueError):
+            star_layer_counts(0)
 
 
 class TestMeanDistanceBound:

@@ -95,6 +95,23 @@ class TestRankUnrank:
         )
         assert rank_array(unrank_array(k, np.array(ranks))).tolist() == ranks
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+    @pytest.mark.parametrize("k", range(8, 21))
+    def test_rank_matches_permutation_rank_large_k(self, k, dtype):
+        rng = np.random.default_rng(k)
+        rows = [tuple(int(s) + 1 for s in rng.permutation(k))
+                for _ in range(32)]
+        rows.append(tuple(range(k, 0, -1)))  # the last rank, k! - 1
+        expected = [Permutation(row).rank() for row in rows]
+        assert expected[-1] == factorial(k) - 1
+        assert rank_array(np.array(rows, dtype=dtype)).tolist() == expected
+
+    def test_rank_spans_row_blocks(self):
+        # 8! rows are more than one of rank_array's row blocks
+        assert np.array_equal(
+            rank_array(permutation_table(8)), np.arange(factorial(8))
+        )
+
     def test_permutation_table_is_lexicographic(self):
         table = permutation_table(4)
         assert table.shape == (24, 4)

@@ -2,11 +2,12 @@
 
 The frontier BFS promises *exact* agreement with the compiled
 whole-frontier BFS — same layer profile, same layer contents in the
-same discovery order, same first-hop tags — while never holding the
-node table.  These tests hold it to that promise on all ten families,
-check that the memory budget changes batch counts but never results
-(hypothesis), and exercise the spill/resume machinery including a
-SIGKILL mid-layer.
+same discovery order — while never holding the node table.  These
+tests hold it to that promise on all ten families and on both visited
+sets (the rank bit map and the sorted-key window), check that the
+memory budget changes batch counts but never results (hypothesis),
+and exercise the spill/resume machinery including a SIGKILL
+mid-layer.
 """
 
 import json
@@ -30,10 +31,11 @@ from repro.analysis import (
 )
 from repro.core import CompiledGraph
 from repro.core.compiled import CompileBudgetError, estimate_table_bytes
-from repro.core.permutations import Permutation
+from repro.core.permutations import Permutation, factorial
 from repro.core.tablestore import store_digest
 from repro.frontier import (
     FrontierBFS,
+    FrontierResult,
     FrontierRunDir,
     SpillError,
     frontier_profile,
@@ -41,7 +43,13 @@ from repro.frontier import (
     make_key_fn,
     pair_distance,
 )
-from repro.frontier.encoding import chunk_rows, expand_states, in_sorted
+from repro.frontier import engine
+from repro.frontier.encoding import (
+    VisitedMap,
+    chunk_rows,
+    expand_states,
+    in_sorted,
+)
 from repro.networks import make_network
 
 #: all ten families at sizes small enough to BFS twice per test
@@ -71,14 +79,53 @@ def compiled_profile(compiled: CompiledGraph):
             for i in range(compiled.num_layers())]
 
 
+def map_budget(k: int) -> int:
+    """The smallest budget whose half holds a ``k!``-bit visited map:
+    ``FrontierBFS`` dedups against the map at this budget and against
+    the sorted-key window one byte below it."""
+    return 2 * ((factorial(k) + 7) // 8)
+
+
+@pytest.fixture
+def dedup_maps(monkeypatch):
+    """Per ``in_any`` call of the engine: did it test a VisitedMap?"""
+    calls = []
+    real = engine.in_any
+
+    def spy(values, refs):
+        calls.append(any(isinstance(ref, VisitedMap) for ref in refs))
+        return real(values, refs)
+
+    monkeypatch.setattr(engine, "in_any", spy)
+    return calls
+
+
+def assert_map_matches_window(graph, dedup_maps) -> FrontierResult:
+    """Run ``graph`` once on each side of the map line; both runs must
+    give identical layers in identical order."""
+    line = map_budget(graph.k)
+    on_map = FrontierBFS(
+        graph, memory_budget_bytes=line, keep_layers=True,
+    ).run()
+    assert dedup_maps and all(dedup_maps)
+    dedup_maps.clear()
+    on_window = FrontierBFS(
+        graph, memory_budget_bytes=line - 1, keep_layers=True,
+    ).run()
+    assert dedup_maps and not any(dedup_maps)
+    assert on_map.layer_sizes == on_window.layer_sizes
+    for ours, theirs in zip(on_map.layers, on_window.layers):
+        assert np.array_equal(ours, theirs)
+    return on_map
+
+
 class TestDifferential:
     """Frontier vs. compiled BFS, all ten families."""
 
     def test_layers_diameter_first_hops_identical(self, net):
         compiled = net.compiled()
         result = FrontierBFS(
-            net, memory_budget_bytes=1 << 20,
-            track_first_hop=True, keep_layers=True,
+            net, memory_budget_bytes=1 << 20, keep_layers=True,
         ).run()
         assert result.layer_sizes == compiled_profile(compiled)
         assert result.diameter == compiled.diameter()
@@ -86,15 +133,14 @@ class TestDifferential:
         from repro.core.compiled import rank_array
 
         for depth in range(compiled.num_layers()):
-            layer_ids = compiled.layer_ids(depth)
             # same states, same discovery order
             assert np.array_equal(
-                rank_array(result.layers[depth]), layer_ids
+                rank_array(result.layers[depth]), compiled.layer_ids(depth)
             )
-            # first-hop-reachable sets byte-identical
-            assert np.array_equal(
-                result.layer_tags[depth], compiled.first_hop[layer_ids]
-            )
+
+    def test_visited_map_and_window_agree(self, net, dedup_maps):
+        result = assert_map_matches_window(net, dedup_maps)
+        assert result.layer_sizes == compiled_profile(net.compiled())
 
     def test_profile_respects_moore_caps(self, net):
         result = frontier_profile(net, memory_budget_bytes=1 << 18)
@@ -147,18 +193,14 @@ class TestBudgetInvariance:
     def test_budget_changes_batches_not_results(self, budget):
         net = make_network("MS", l=2, n=2)
         reference = FrontierBFS(
-            net, memory_budget_bytes=1 << 22, track_first_hop=True,
-            keep_layers=True,
+            net, memory_budget_bytes=1 << 22, keep_layers=True,
         ).run()
         result = FrontierBFS(
-            net, memory_budget_bytes=budget, track_first_hop=True,
-            keep_layers=True,
+            net, memory_budget_bytes=budget, keep_layers=True,
         ).run()
         assert result.layer_sizes == reference.layer_sizes
         assert result.diameter == reference.diameter
         for ours, theirs in zip(result.layers, reference.layers):
-            assert np.array_equal(ours, theirs)
-        for ours, theirs in zip(result.layer_tags, reference.layer_tags):
             assert np.array_equal(ours, theirs)
         # smaller budgets may only take MORE batches, never fewer
         assert result.batches >= reference.batches
@@ -169,7 +211,7 @@ class TestBudgetInvariance:
 
 
 class TestEncoding:
-    def test_bitpack_keys_injective_small_k(self):
+    def test_lehmer_keys_injective_small_k(self):
         from itertools import permutations
 
         key_fn, exact = make_key_fn(5)
@@ -263,6 +305,67 @@ class TestSpill:
         assert result.resumed_from == 3
         assert result.layer_sizes == compiled_profile(net.compiled())
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("family", ["MS", "MR"])
+    def test_window_crash_resume(self, family, tmp_path, dedup_maps):
+        # below the map line: resume rebuilds the sorted-key window
+        # (prev/cur for MS, the whole ring for the directed MR)
+        net = make_network(family, l=2, n=3)
+        budget = map_budget(net.k) - 1
+        run_dir = tmp_path / "run"
+
+        def stop(depth, _size):
+            if depth == 3:
+                raise KeyboardInterrupt()
+
+        with pytest.raises(KeyboardInterrupt):
+            FrontierBFS(
+                net, memory_budget_bytes=budget, spill_dir=run_dir,
+                on_layer=stop,
+            ).run()
+        result = FrontierBFS(
+            net, memory_budget_bytes=budget, spill_dir=run_dir,
+            resume=True,
+        ).run()
+        assert dedup_maps and not any(dedup_maps)
+        assert result.resumed_from == 3
+        assert result.spill_segments > len(result.layer_sizes)
+        assert result.layer_sizes == compiled_profile(net.compiled())
+        assert not run_dir.exists()
+
+    def test_resume_ignores_unknown_layer_files(self, tmp_path):
+        """Older journals listed a second, per-layer list of files (the
+        first-hop tags, ``layer_####_####_tags.npy``).  Such a journal
+        still resumes: the key is ignored and its files are pruned."""
+        net = make_network("MS", l=2, n=3)
+        run_dir = tmp_path / "run"
+
+        def stop(depth, _size):
+            if depth == 3:
+                raise KeyboardInterrupt()
+
+        with pytest.raises(KeyboardInterrupt):
+            FrontierBFS(
+                net, memory_budget_bytes=16_384, spill_dir=run_dir,
+                on_layer=stop,
+            ).run()
+        journal_path = run_dir / "journal.json"
+        journal = json.loads(journal_path.read_text())
+        for entry in journal["layers"]:
+            entry["tag_files"] = [
+                name.replace(".npy", "_tags.npy")
+                for name in entry["segments"]
+            ]
+            for name in entry["tag_files"]:
+                np.save(run_dir / name, np.zeros(1, dtype=np.uint8))
+        journal_path.write_text(json.dumps(journal))
+        result = FrontierBFS(
+            net, memory_budget_bytes=16_384, spill_dir=run_dir,
+            resume=True, cleanup=False,
+        ).run()
+        assert result.resumed_from == 3
+        assert result.layer_sizes == compiled_profile(net.compiled())
+        assert not list(run_dir.glob("*_tags.npy"))
 
     def test_resume_rejects_other_graph(self, tmp_path):
         net = make_network("MS", l=2, n=2)
@@ -421,6 +524,11 @@ class TestDirectedRing:
         )
         assert result.layer_sizes == [1] * k
         assert result.num_states == k
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_visited_map_and_window_agree(self, k, dedup_maps):
+        result = assert_map_matches_window(self._cycle_graph(k), dedup_maps)
+        assert result.layer_sizes == [1] * k
 
     @pytest.mark.parametrize("k", [4, 6])
     def test_boundary_depth_with_spill(self, k, tmp_path):

@@ -219,7 +219,7 @@ class TestSeedRegression:
     """Satellite 1: one explicit seed, threaded coordinator→worker, so
     hash-keyed (k > 20) families profile identically under both
     engines.  The hash path is forced at small k by shrinking the
-    exact-key ceilings — fork-started workers inherit the patch."""
+    exact-key ceiling — fork-started workers inherit the patch."""
 
     @pytest.mark.parametrize("family", ["MS", "MR"])
     def test_hash_keyed_profiles_agree_across_engines(
@@ -227,7 +227,6 @@ class TestSeedRegression:
     ):
         import repro.frontier.encoding as encoding
 
-        monkeypatch.setattr(encoding, "MAX_BITPACK_K", 0)
         monkeypatch.setattr(encoding, "MAX_EXACT_KEY_K", 0)
         net = make_network(family, l=2, n=3)
         ref = compiled_profile(net.compiled())
