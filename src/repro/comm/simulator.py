@@ -30,7 +30,10 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..core.cayley import CayleyGraph
+from ..core.compiled import rank_array
 from ..core.lru import EVICTION_METRIC, LRUCache
 from ..core.permutations import Permutation
 from ..emulation.models import CommModel
@@ -245,16 +248,19 @@ class SimulationResult:
 class _FaultState:
     """Live fault bookkeeping inside one simulator run.
 
-    ``dead_nodes`` / ``dead_links`` are keyed like the queues (integer
-    IDs on the compiled path, Permutations on the object path).  The
-    compiled path additionally mirrors the state into a
-    :class:`~repro.faults.FaultMask` whose reverse-BFS tables serve
-    re-routes; ``epoch`` invalidates those caches whenever an event
-    batch fires.
+    The compiled path keeps the state in a
+    :class:`~repro.faults.FaultMask` only, whose reverse-BFS tables
+    serve re-routes; the object path keeps ``dead_nodes`` /
+    ``dead_links`` sets keyed like its queues (Permutations).
+    ``nodes_down`` / ``links_down`` say whether anything is down at all,
+    for the per-queue early exits; ``epoch`` invalidates the table
+    caches whenever an event batch fires.
     """
 
     dead_nodes: set = field(default_factory=set)
     dead_links: set = field(default_factory=set)
+    nodes_down: bool = False
+    links_down: bool = False
     epoch: int = 0
     mask: Optional[object] = None                 # FaultMask (compiled path)
     fault_set: Optional[object] = None            # FaultSet cache (object path)
@@ -362,63 +368,70 @@ class PacketSimulator:
 
     # -- fault state --------------------------------------------------------
 
-    def _event_node_key(self, node: Permutation):
-        return (
-            node if self._compiled is None
-            else self._compiled.node_id(node)
-        )
-
     def _apply_fault_events(self) -> None:
         """Fire this round's scheduled events, then sweep queues at dead
-        nodes (their packets are lost with the node)."""
+        nodes (their packets are lost with the node).
+
+        The compiled path ranks the round's schedule rows in one pass
+        and writes them into its mask in bulk; the object path applies
+        the round's :class:`~repro.faults.FaultEvent` records to its sets
+        one by one."""
         state = self._faults
-        events = self._injector.events_at(self._round)
-        if not events:
-            return
-        registry = get_registry()
-        for event in events:
-            key = self._event_node_key(event.node)
-            failing = event.action == "fail"
-            if event.is_link:
-                link = (key, event.dimension)
-                state.dead_links.add(link) if failing \
-                    else state.dead_links.discard(link)
-            else:
-                state.dead_nodes.add(key) if failing \
-                    else state.dead_nodes.discard(key)
-            if state.mask is not None or (
-                self._compiled is not None and self._ensure_mask()
-            ):
-                mask = state.mask
-                node_id = key
+        if self._compiled is not None:
+            fail, symbols, dims = self._injector.columns_at(self._round)
+            count = len(fail)
+            if not count:
+                return
+            mask = self._ensure_mask()
+            # dims index dim_names, -1 (the appended entry) for nodes
+            gens = np.array([
+                self._compiled.gen_index(name)
+                for name in self._injector.dim_names
+            ] + [-1])
+            mask.apply_events(rank_array(symbols), gens[dims], fail)
+            state.nodes_down = not mask.node_ok.all()
+            state.links_down = not mask.link_ok.all()
+        else:
+            events = self._injector.events_at(self._round)
+            count = len(events)
+            if not count:
+                return
+            for event in events:
+                failing = event.action == "fail"
                 if event.is_link:
-                    (mask.fail_link if failing else mask.repair_link)(
-                        node_id, event.dimension
-                    )
+                    link = (event.node, event.dimension)
+                    state.dead_links.add(link) if failing \
+                        else state.dead_links.discard(link)
                 else:
-                    (mask.fail_node if failing else mask.repair_node)(
-                        node_id
-                    )
+                    state.dead_nodes.add(event.node) if failing \
+                        else state.dead_nodes.discard(event.node)
+            state.fault_set = None
+            state.nodes_down = bool(state.dead_nodes)
+            state.links_down = bool(state.dead_links)
         state.epoch += 1
-        state.fault_set = None
+        registry = get_registry()
         if registry.enabled:
-            registry.counter("faults.events").inc(len(events))
+            registry.counter("faults.events").inc(count)
         self._drop_queues_at_dead_nodes()
 
-    def _ensure_mask(self) -> bool:
-        """Build the compiled-path FaultMask lazily (first event)."""
+    def _ensure_mask(self):
+        """The compiled-path FaultMask, built lazily (first event)."""
         from ..faults.mask import FaultMask
 
         if self._faults.mask is None:
             self._faults.mask = FaultMask(self.graph)
-        return True
+        return self._faults.mask
+
+    def _node_dead(self, node) -> bool:
+        if self._compiled is None:
+            return node in self._faults.dead_nodes
+        return not self._faults.mask.node_ok[node]
 
     def _drop_queues_at_dead_nodes(self) -> None:
-        state = self._faults
-        if not state.dead_nodes:
+        if not self._faults.nodes_down:
             return
         for (node, _dim), queue in self._queues.items():
-            if queue and node in state.dead_nodes:
+            if queue and self._node_dead(node):
                 while queue:
                     self._drop(queue.popleft())
 
@@ -440,20 +453,18 @@ class PacketSimulator:
         node is dead (delivering into a dead node loses the packet, so
         the policy gets to act instead)."""
         state = self._faults
-        if state is None or (not state.dead_links
-                             and not state.dead_nodes):
+        if state is None or not (state.nodes_down or state.links_down):
             return False
-        if key in state.dead_links:
-            return True
-        if state.dead_nodes:
-            node, dim = key
-            head = (
-                self._compiled.neighbor_id(node, dim)
-                if self._compiled is not None
-                else node * self._perms[dim]
+        node, dim = key
+        compiled = self._compiled
+        if compiled is None:
+            return key in state.dead_links or state.nodes_down and (
+                node * self._perms[dim] in state.dead_nodes
             )
-            return head in state.dead_nodes
-        return False
+        g = compiled.gen_index(dim)
+        mask = state.mask
+        return not (mask.link_ok[g, node]
+                    and mask.node_ok[compiled.moves[g, node]])
 
     # -- fault policies -----------------------------------------------------
 
@@ -461,23 +472,29 @@ class PacketSimulator:
         packet.dropped_round = self._round
         self._dropped += 1
 
-    def _route_table(self, target_id: int):
-        """Per-target reverse-BFS distance table, LRU-cached per epoch."""
+    def _route_table(self, target_id: int, source_id: int):
+        """Per-target reverse-BFS distance table, LRU-cached per epoch.
+
+        A table stops at the layer that reaches the source it is built
+        for, so a cached one serves only sources it labels (those are
+        no farther than its own source, and every nearer rank is
+        exact); any other source rebuilds the entry."""
         state = self._faults
         if state.tables_epoch != state.epoch:
             state.route_tables.clear()
             state.tables_epoch = state.epoch
-        return state.route_tables.get_or_create(
-            target_id, lambda: state.mask.distances_to(target_id)
-        )
+        table = state.route_tables.get(target_id)
+        if table is None or table[source_id] < 0:
+            table = state.mask.distances_to(target_id, source_id)
+            state.route_tables.put(target_id, table)
+        return table
 
     def _reroute_word(self, packet: Packet) -> Optional[List[str]]:
         """A fault-free route from the packet's current node to its
         target, or ``None`` when none exists."""
         if self._compiled is not None:
-            self._ensure_mask()
-            mask = self._faults.mask
-            table = self._route_table(packet.target_id)
+            mask = self._ensure_mask()
+            table = self._route_table(packet.target_id, packet.at_id)
             word_ids = mask.route_ids_via_table(
                 packet.at_id, packet.target_id, table
             )
@@ -520,8 +537,7 @@ class PacketSimulator:
         that cannot fire.
         """
         state = self._faults
-        if state is None or (not state.dead_links
-                             and not state.dead_nodes):
+        if state is None or not (state.nodes_down or state.links_down):
             return
         for key in list(self._queues.keys()):
             queue = self._queues[key]

@@ -309,20 +309,45 @@ def fault_sweep(
     traffic is shortest-path routed fault-free, then the injector fires
     at ``at_round`` and the per-packet ``policy`` handles the damage.
 
-    ``fault_kind`` is ``"link"``, ``"node"``, or ``"both"``; traffic
-    endpoints are protected from node failures so delivery stays
-    well-defined.  Packets are routed via the compiled shortest-path
-    tree (``table_cache`` attaches the tables' on-disk store, see
-    :func:`repro.io.attach_compiled_tables`).  Yields one
-    :class:`FaultRow` per rate.
+    ``fault_kind`` is ``"link"``, ``"node"``, or ``"both"`` (anything
+    else raises ``ValueError``); traffic endpoints are protected from
+    node failures so delivery stays well-defined.  The network, the
+    traffic and its shortest-path words are built once and shared by
+    every rate.  Packets are routed via the compiled shortest-path tree
+    (``table_cache`` attaches the tables' on-disk store once, see
+    :func:`repro.io.attach_compiled_tables`; every rate's span carries
+    that attach's mode).  Yields one :class:`FaultRow` per rate.
     """
     from ..comm.simulator import PacketSimulator
     from ..emulation.models import CommModel
     from ..faults import FaultInjector, FaultPolicy
     from ..networks import make_network
 
+    if fault_kind not in ("link", "node", "both"):
+        raise ValueError(
+            f"fault_kind must be 'link', 'node' or 'both', "
+            f"not {fault_kind!r}"
+        )
     model = model or CommModel.ALL_PORT
     policy = FaultPolicy(policy)
+    net = (make_network("IS", k=k) if family == "IS"
+           else make_network(family, l=l, n=n))
+    cache_mode = None
+    if table_cache is not None and net.can_compile():
+        from ..io import attach_compiled_tables
+
+        _, cache_mode = attach_compiled_tables(net, cache_dir=table_cache)
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(packets):
+        source = Permutation.random(net.k, rng)
+        target = Permutation.random(net.k, rng)
+        pairs.append((source, target))
+    endpoints = [p for pair in pairs for p in pair]
+    words = [
+        [d for d, _node in net.shortest_path(source, target)]
+        for source, target in pairs
+    ]
     for rate in rates:
         node_rate = rate if fault_kind in ("node", "both") else 0.0
         link_rate = rate if fault_kind in ("link", "both") else 0.0
@@ -330,20 +355,8 @@ def fault_sweep(
             "sweep.faults", family=family, l=l, n=n, rate=rate,
             policy=policy.value,
         ) as sp:
-            net = (make_network("IS", k=k) if family == "IS"
-                   else make_network(family, l=l, n=n))
-            if table_cache is not None and net.can_compile():
-                from ..io import attach_compiled_tables
-
-                _, mode = attach_compiled_tables(net, cache_dir=table_cache)
-                sp.set(table_cache=mode)
-            rng = random.Random(seed)
-            pairs = []
-            for _ in range(packets):
-                source = Permutation.random(net.k, rng)
-                target = Permutation.random(net.k, rng)
-                pairs.append((source, target))
-            endpoints = [p for pair in pairs for p in pair]
+            if cache_mode is not None:
+                sp.set(table_cache=cache_mode)
             injector = FaultInjector.random(
                 net,
                 node_rate=node_rate,
@@ -351,16 +364,15 @@ def fault_sweep(
                 seed=seed,
                 at_round=at_round,
                 protect=endpoints,
-            )
+            ) if rate > 0 else None
             sim = PacketSimulator(
                 net, model,
-                injector=injector if rate > 0 else None,
+                injector=injector,
                 fault_policy=policy,
                 max_retries=max_retries,
                 retry_backoff=retry_backoff,
             )
-            for source, target in pairs:
-                word = [d for d, _node in net.shortest_path(source, target)]
+            for (source, _target), word in zip(pairs, words):
                 sim.submit(source, word)
             result = sim.run()
             latencies = [

@@ -13,7 +13,8 @@ object-path :func:`repro.routing.fault_tolerant.fault_tolerant_route`
 and the extracted route words match the object oracle *exactly*, not
 just in length (asserted differentially in ``tests/test_faults.py``).
 The reverse search (:meth:`FaultMask.distances_to`) runs on the inverse
-move tables from a target; greedy distance descent on its result
+move tables from a target, optionally stopping at the layer that reaches
+a source; greedy distance descent on its result
 (:meth:`route_ids_via_table`) is the simulator's re-route table.
 """
 
@@ -153,6 +154,26 @@ class FaultMask:
         self.link_ok[self._gen_idx(dimension), node_id] = True
         self.epoch += 1
 
+    def apply_events(self, node_ids: np.ndarray, gens: np.ndarray,
+                     fail: np.ndarray) -> None:
+        """Fail (``fail`` True) or repair a batch of elements in one
+        write per mask: row ``i`` is node ``node_ids[i]`` when
+        ``gens[i]`` is -1, else its link along generator ``gens[i]``.
+        Where rows name the same element the last one wins, as if the
+        rows were applied one by one.  Bumps :attr:`epoch` once."""
+        n = self.compiled.num_nodes
+        node_ids = np.asarray(node_ids, dtype=np.int64)
+        gens = np.asarray(gens, dtype=np.int64)
+        alive = ~np.asarray(fail, dtype=bool)
+        nodes = gens < 0
+        ids, ok = _last_writes(node_ids[nodes], alive[nodes])
+        self.node_ok[ids] = ok
+        links, ok = _last_writes(
+            gens[~nodes] * n + node_ids[~nodes], alive[~nodes]
+        )
+        self.link_ok[links // n, links % n] = ok
+        self.epoch += 1
+
     # -- inspection ----------------------------------------------------
 
     def blocks_node(self, node_id: int) -> bool:
@@ -227,9 +248,18 @@ class FaultMask:
     # -- reverse masked BFS (the re-route table) -----------------------
 
     @profiled("faults.masked_reverse_bfs")
-    def distances_to(self, target_id: int) -> np.ndarray:
+    def distances_to(
+        self, target_id: int, source_id: Optional[int] = None
+    ) -> np.ndarray:
         """Distance from every rank *to* ``target_id`` over the live
         sub-network (``-1`` where the target is unreachable).
+
+        With ``source_id`` the search stops after the layer that reaches
+        the source (mirroring :meth:`bfs`'s ``target_id``): every rank
+        at most the source's distance away keeps its exact distance —
+        all that a descent from the source, or from any other rank the
+        table labels, reads — and farther ranks read ``-1``.  A source
+        the search never reaches leaves the table complete.
 
         Expanding backward from ``v`` via generator ``g`` lands on
         ``u = inverse_moves[g][v]`` and traverses the forward arc
@@ -244,6 +274,7 @@ class FaultMask:
             keep=lambda frontier, cand: (
                 self.link_ok[gens, cand] & self.node_ok[cand]
             ),
+            stop=source_id,
         )
 
     def route_ids_via_table(
@@ -347,6 +378,13 @@ class FaultMask:
             f"dead nodes, {self.num_failed_links()} dead links, "
             f"epoch {self.epoch}>"
         )
+
+
+def _last_writes(keys: np.ndarray, values: np.ndarray):
+    """The distinct ``keys``, each with the value of its last row
+    (fancy assignment with repeated indices fixes no order)."""
+    distinct, first = np.unique(keys[::-1], return_index=True)
+    return distinct, values[::-1][first]
 
 
 def endpoints_alive(
