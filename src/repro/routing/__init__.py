@@ -1,5 +1,7 @@
 """Routing algorithms: optimal star-graph routing, star-emulation routing
-for super Cayley networks, and bidirectional BFS for large instances."""
+for super Cayley networks, and fault-tolerant routing.  Exact distances
+beyond the compiled range come from :mod:`repro.frontier`
+(``identity_distance`` / ``pair_distance``)."""
 
 from .star_routing import (
     star_distance,
@@ -19,7 +21,6 @@ from .sc_routing import (
     simplify_word,
     walk_route,
 )
-from .bidirectional import bidirectional_distance
 from .tables import RoutingTable
 from .rotator_routing import (
     insertion_transposition_word,
@@ -53,7 +54,6 @@ __all__ = [
     "route_length_bound",
     "record_route_metrics",
     "walk_route",
-    "bidirectional_distance",
     "FaultSet",
     "RoutingError",
     "fault_tolerant_route",

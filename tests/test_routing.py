@@ -1,5 +1,5 @@
 """Tests for routing: star-graph optimal routing, super Cayley emulated
-routing, and bidirectional BFS."""
+routing, and the bidirectional BFS of exact distances at scale."""
 
 import random
 
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.permutations import Permutation, factorial
+from repro.frontier import identity_distance, pair_distance
 from repro.networks import (
     CompleteRotationStar,
     InsertionSelection,
@@ -16,7 +17,6 @@ from repro.networks import (
     MacroStar,
 )
 from repro.routing import (
-    bidirectional_distance,
     expand_star_word,
     route_length_bound,
     sc_route,
@@ -168,15 +168,18 @@ class TestScRouting:
 
 
 class TestBidirectional:
+    """The frontier engine's meet-in-the-middle point distances."""
+
     def test_agrees_with_bfs_exhaustively(self):
         net = MacroStar(2, 2)
         dist = net.distances_from()
         for p in list(Permutation.all_permutations(5))[::7]:
-            assert bidirectional_distance(net, net.identity, p) == dist[p]
+            assert pair_distance(net, net.identity, p) == dist[p]
 
     def test_zero_distance(self):
         net = MacroStar(2, 2)
-        assert bidirectional_distance(net, net.identity, net.identity) == 0
+        assert pair_distance(net, net.identity, net.identity) == 0
+        assert identity_distance(net, net.identity) == 0
 
     def test_directed_graph(self):
         from repro.topologies import RotatorGraph
@@ -184,18 +187,20 @@ class TestBidirectional:
         rot = RotatorGraph(4)
         dist = rot.distances_from()
         for p, d in list(dist.items())[::5]:
-            assert bidirectional_distance(rot, rot.identity, p) == d
+            assert pair_distance(rot, rot.identity, p) == d
 
     def test_max_depth_cutoff(self):
         net = MacroStar(2, 2)
         far = Permutation([5, 4, 3, 2, 1])
         true_d = net.distance(net.identity, far)
-        with pytest.raises(ValueError):
-            bidirectional_distance(net, net.identity, far, max_depth=true_d - 1)
+        assert identity_distance(net, far, max_depth=true_d) == true_d
+        with pytest.raises(RuntimeError):
+            identity_distance(net, far, max_depth=true_d - 1)
 
     def test_works_on_larger_instance(self):
         # 7! = 5040 nodes — routine for bidirectional search.
         net = MacroStar(3, 2)
         p = Permutation([7, 6, 5, 4, 3, 2, 1])
-        d = bidirectional_distance(net, net.identity, p)
+        d = pair_distance(net, net.identity, p)
+        assert d == net.distance(net.identity, p)
         assert 0 < d <= net.star_emulation_dilation() * star_eccentricity(7)
