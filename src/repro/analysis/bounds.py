@@ -11,8 +11,10 @@ and express network parameters through the asymptotic forms
 ``degree = Theta(sqrt(log N / log log N))`` (balanced super Cayley
 graphs with ``l = Theta(n)``) and ``Theta(log N / log log N)`` (star /
 IS networks).  The helpers here make those comparisons concrete for the
-benchmark sweeps.  :func:`star_layer_counts` is an exact closed form:
-the k-star's distance profile, which frontier profiles past the
+benchmark sweeps.  :func:`star_layer_counts`,
+:func:`bubble_sort_layer_counts` and :func:`transposition_layer_counts`
+are exact closed forms: the distance profiles of the three
+transposition-generated Cayley graphs, which frontier profiles past the
 compiled engine's reach are checked against.
 """
 
@@ -153,6 +155,50 @@ def star_layer_counts(k: int) -> list:
             if here:
                 counts[d] += here
     return [counts[d] for d in range(max(counts) + 1)]
+
+
+def bubble_sort_layer_counts(k: int) -> list:
+    """Layer sizes of the k-dimensional bubble-sort graph from the
+    identity, without a BFS.
+
+    Adjacent transpositions remove at most one inversion per step and
+    bubble sort removes one every step, so a node's distance is its
+    number of inversions and layer ``d`` holds the permutations with
+    ``d`` inversions: the Mahonian numbers, the coefficients of
+    ``prod_{i=1..k} (1 + x + ... + x^(i-1))``.
+    """
+    if k < 1:
+        raise ValueError(f"bubble-sort graph needs k >= 1, got {k}")
+    counts = [1]
+    for i in range(2, k + 1):  # times 1 + x + ... + x^(i-1)
+        spread = [0] * (len(counts) + i - 1)
+        for d, here in enumerate(counts):
+            for j in range(i):
+                spread[d + j] += here
+        counts = spread
+    return counts
+
+
+def transposition_layer_counts(k: int) -> list:
+    """Layer sizes of the transposition network k-TN from the identity,
+    without a BFS.
+
+    A transposition splits or merges one cycle, so a permutation with
+    ``c`` cycles (fixed points included) is ``k - c`` steps from the
+    identity, and layer ``d`` holds ``c(k, k - d)`` nodes: an unsigned
+    Stirling number of the first kind, from the recurrence
+    ``c(n, j) = c(n-1, j-1) + (n-1) c(n-1, j)``.
+    """
+    if k < 1:
+        raise ValueError(f"transposition network needs k >= 1, got {k}")
+    stirling = [1]  # c(0, j) for j = 0..0
+    for n in range(1, k + 1):
+        stirling = [
+            (stirling[j - 1] if j else 0)
+            + (n - 1) * (stirling[j] if j < n else 0)
+            for j in range(n + 1)
+        ]
+    return [stirling[k - d] for d in range(k)]
 
 
 def mnb_time_bound_allport(num_nodes: int, degree: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis import (
     balanced_sc_degree_asymptotic,
+    bubble_sort_layer_counts,
     degree_formula,
     degree_of_balanced_sc,
     emulation_optimality_ratio,
@@ -19,6 +20,7 @@ from repro.analysis import (
     star_layer_counts,
     te_time_bound_allport,
     traffic_is_uniform,
+    transposition_layer_counts,
 )
 from repro.core.permutations import factorial
 from repro.networks import (
@@ -33,7 +35,7 @@ from repro.networks import (
     RotationRotator,
     RotationStar,
 )
-from repro.topologies import StarGraph
+from repro.topologies import BubbleSortGraph, StarGraph, TranspositionNetwork
 
 
 class TestMooreBound:
@@ -84,6 +86,37 @@ class TestStarLayerCounts:
             assert len(counts) - 1 == StarGraph.diameter_formula(k)
         with pytest.raises(ValueError):
             star_layer_counts(0)
+
+
+class TestTranspositionGraphLayerCounts:
+    """The Mahonian (bubble-sort) and Stirling (k-TN) closed forms
+    against compiled BFS profiles."""
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_matches_compiled_profiles(self, k):
+        assert bubble_sort_layer_counts(k) == (
+            BubbleSortGraph(k).compiled().distance_distribution()
+        )
+        assert transposition_layer_counts(k) == (
+            TranspositionNetwork(k).compiled().distance_distribution()
+        )
+
+    def test_totals_and_diameter(self):
+        assert bubble_sort_layer_counts(4) == [1, 3, 5, 6, 5, 3, 1]
+        assert transposition_layer_counts(4) == [1, 6, 11, 6]
+        for k in range(2, 21):
+            bubble = bubble_sort_layer_counts(k)
+            tn = transposition_layer_counts(k)
+            assert sum(bubble) == sum(tn) == factorial(k)
+            assert len(bubble) - 1 == BubbleSortGraph.diameter_formula(k)
+            assert len(tn) - 1 == TranspositionNetwork.diameter_formula(k)
+            assert tn[1] == TranspositionNetwork.degree_formula(k)
+        assert bubble_sort_layer_counts(1) == transposition_layer_counts(
+            1
+        ) == [1]
+        for counts in (bubble_sort_layer_counts, transposition_layer_counts):
+            with pytest.raises(ValueError):
+                counts(0)
 
 
 class TestMeanDistanceBound:
