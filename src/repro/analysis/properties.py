@@ -17,7 +17,6 @@ def network_profile(
     exact: bool = True,
     method: str = "auto",
     memory_budget_bytes: Optional[int] = None,
-    workers: int = 2,
 ) -> Dict[str, object]:
     """A property row: name, k, nodes, degree, directedness, and (when
     ``exact``) BFS diameter and average distance.
@@ -27,14 +26,10 @@ def network_profile(
     (compiled arrays within materialisation range, memoised object
     layers otherwise); ``"frontier"`` runs the memory-bounded frontier
     engine (:mod:`repro.frontier`) instead — the only route past the
-    ``k!`` table wall; ``"sharded"`` runs the same exploration
-    owner-computes-parallel across ``workers`` processes
-    (:class:`~repro.frontier.sharded.ShardedFrontierBFS`) — identical
-    profile, one dedup shard per worker; ``"auto"`` picks compiled
-    when the instance can compile and frontier beyond.  Either way a
-    profile row costs a single search no matter how many statistics it
-    reports."""
-    if method not in ("auto", "compiled", "frontier", "sharded"):
+    ``k!`` table wall; ``"auto"`` picks compiled when the instance can
+    compile and frontier beyond.  Either way a profile row costs a
+    single search no matter how many statistics it reports."""
+    if method not in ("auto", "compiled", "frontier"):
         raise ValueError(f"unknown method {method!r}")
     row: Dict[str, object] = {
         "name": network.name,
@@ -45,30 +40,20 @@ def network_profile(
     }
     if not exact:
         return row
-    use_frontier = method in ("frontier", "sharded") or (
+    if method == "frontier" or (
         method == "auto" and not network.can_compile()
-    )
-    if use_frontier:
+    ):
+        from ..frontier import frontier_profile
+
         kwargs = {}
         if memory_budget_bytes is not None:
             kwargs["memory_budget_bytes"] = memory_budget_bytes
-        if method == "sharded":
-            from ..frontier import sharded_frontier_profile
-
-            result = sharded_frontier_profile(
-                network, workers=workers, **kwargs
-            )
-        else:
-            from ..frontier import frontier_profile
-
-            result = frontier_profile(network, **kwargs)
+        result = frontier_profile(network, **kwargs)
         row["diameter"] = result.diameter
         row["avg_distance"] = round(
             average_distance_from_layers(result.layer_sizes), 3
         )
-        row["method"] = method if method == "sharded" else "frontier"
-        if method == "sharded":
-            row["workers"] = result.workers
+        row["method"] = "frontier"
     else:
         row["diameter"] = network.diameter()
         row["avg_distance"] = round(network.average_distance(), 3)

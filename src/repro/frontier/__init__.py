@@ -12,9 +12,7 @@ compiled BFS (same tie-breaks); pair distances come from
 meet-in-the-middle bidirectional search.
 
 Entry points: :class:`FrontierBFS` / :func:`frontier_profile` for the
-identity-rooted layer profile, :class:`ShardedFrontierBFS` /
-:func:`sharded_frontier_profile` for the owner-computes parallel
-version across worker processes, :func:`identity_distance` /
+identity-rooted layer profile, :func:`identity_distance` /
 :func:`pair_distance` for point queries, and
 :class:`~repro.frontier.spill.FrontierRunDir` for the run-dir
 machinery behind ``--spill-dir`` / ``--resume``.
@@ -30,14 +28,7 @@ from .encoding import (
     make_key_fn,
 )
 from .engine import DEFAULT_MEMORY_BUDGET, FrontierBFS, FrontierResult
-from .partition import PHI64, log2_ceil, owner_of, partition_by_owner
-from .sharded import ShardedFrontierBFS, ShardWorkerDied
-from .spill import (
-    FrontierRunDir,
-    SpillError,
-    active_run_dirs,
-    reset_active_runs_after_fork,
-)
+from .spill import FrontierRunDir, SpillError, active_run_dirs
 
 
 def frontier_profile(graph, **kwargs) -> FrontierResult:
@@ -45,20 +36,12 @@ def frontier_profile(graph, **kwargs) -> FrontierResult:
     return FrontierBFS(graph, **kwargs).run()
 
 
-def sharded_frontier_profile(graph, **kwargs) -> FrontierResult:
-    """One-shot sharded profile (see :class:`ShardedFrontierBFS`)."""
-    return ShardedFrontierBFS(graph, **kwargs).run()
-
-
 __all__ = [
     "MAX_EXACT_KEY_K",
     "DEFAULT_MEMORY_BUDGET",
-    "PHI64",
     "FrontierBFS",
     "FrontierResult",
     "FrontierRunDir",
-    "ShardWorkerDied",
-    "ShardedFrontierBFS",
     "SpillError",
     "active_run_dirs",
     "expand_states",
@@ -67,11 +50,6 @@ __all__ = [
     "identity_distance",
     "identity_state",
     "inverse_generator_columns",
-    "log2_ceil",
     "make_key_fn",
-    "owner_of",
     "pair_distance",
-    "partition_by_owner",
-    "reset_active_runs_after_fork",
-    "sharded_frontier_profile",
 ]

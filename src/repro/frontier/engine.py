@@ -92,14 +92,6 @@ class FrontierResult:
     resumed_from: Optional[int] = None
     elapsed_seconds: float = 0.0
     run_dir: Optional[str] = None
-    #: worker processes that produced the profile (1 = in-process).
-    workers: int = 1
-    #: True when a ``max_depth`` cap stopped the search before the
-    #: frontier emptied — ``diameter`` is then only a lower bound.
-    truncated: bool = False
-    #: sharded runs only: closed all-to-all exchange accounting
-    #: (see :class:`~repro.frontier.sharded.ShardedFrontierBFS`).
-    exchange: Optional[dict] = None
     #: populated only with ``keep_layers=True`` (small-k testing):
     #: per-layer state matrices in discovery order.
     layers: Optional[List[np.ndarray]] = None
@@ -110,7 +102,7 @@ class FrontierResult:
         return self.num_states / self.candidates if self.candidates else 1.0
 
     def row(self) -> dict:
-        row = {
+        return {
             "network": self.network,
             "k": self.k,
             "num_states": self.num_states,
@@ -125,13 +117,7 @@ class FrontierResult:
             "spilled_bytes": self.spilled_bytes,
             "resumed_from": self.resumed_from,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
-            "workers": self.workers,
         }
-        if self.truncated:
-            row["truncated"] = True
-        if self.exchange is not None:
-            row["exchange"] = dict(self.exchange)
-        return row
 
 
 class FrontierBFS:
@@ -160,12 +146,6 @@ class FrontierBFS:
         spilling, journaled) layer — progress hooks and crash tests.
     cleanup:
         remove the run dir when the search completes (kept on error).
-    max_depth:
-        stop after completing this layer (None = run until the
-        frontier empties).  A capped run sets ``truncated`` on its
-        result and its ``diameter`` is only a lower bound — this is a
-        throughput-measurement aid (``bench_frontier_sharded``), not a
-        profile mode.
     """
 
     def __init__(
@@ -178,7 +158,6 @@ class FrontierBFS:
         key_seed: int = 0,
         on_layer: Optional[Callable[[int, int], None]] = None,
         cleanup: bool = True,
-        max_depth: Optional[int] = None,
     ):
         if graph.k > 255:
             raise ValueError("uint8 state encoding requires k <= 255")
@@ -192,7 +171,6 @@ class FrontierBFS:
         self.key_seed = key_seed
         self.on_layer = on_layer
         self.cleanup = cleanup
-        self.max_depth = max_depth
 
     # -- public API -----------------------------------------------------
 
@@ -370,9 +348,6 @@ class FrontierBFS:
                 state.rotate(new.merged_keys())
             if self.on_layer is not None:
                 self.on_layer(depth, size)
-            if self.max_depth is not None and depth >= self.max_depth:
-                result.truncated = True
-                break
 
 
 # ----------------------------------------------------------------------

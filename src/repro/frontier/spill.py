@@ -100,21 +100,6 @@ def active_run_dirs() -> List[str]:
     return sorted(_ACTIVE_RUNS)
 
 
-def reset_active_runs_after_fork() -> None:
-    """Drop inherited run-dir registrations in a forked worker.
-
-    A fork copies the parent's :data:`_ACTIVE_RUNS`; if the child kept
-    them, its atexit backstop would prune run dirs the *parent* is
-    still writing.  Sharded frontier workers call this first thing, the
-    same way :mod:`repro.serve.shard` workers reset the inherited
-    metrics registry, then register only their own ``shard-{i}/`` dirs
-    — which keeps every run dir single-owner even though many live
-    under one coordinator spill root.
-    """
-    with _BACKSTOP_LOCK:
-        _ACTIVE_RUNS.clear()
-
-
 # ----------------------------------------------------------------------
 # The run dir
 # ----------------------------------------------------------------------
@@ -246,34 +231,6 @@ class FrontierRunDir:
             np.load(self.path / name)
             for name in self.layers[depth]["segments"]
         ]
-
-    def truncate(self, num_layers: int) -> List[str]:
-        """Drop journaled layers beyond the first ``num_layers``.
-
-        Sharded resume needs this: a coordinator killed mid-barrier can
-        leave worker journals at *different* depths, and the global
-        resume point is the last layer **every** worker journaled.
-        Workers ahead of it rewind here — the journal is rewritten
-        first (so a crash mid-truncate errs toward re-pruning), then
-        the dropped layers' segments are deleted.  Returns the removed
-        file names.
-        """
-        if num_layers < 0:
-            raise SpillError(f"cannot truncate to {num_layers} layers")
-        if len(self.layers) <= num_layers:
-            return []
-        dropped = self.layers[num_layers:]
-        self.layers = self.layers[:num_layers]
-        self._write_journal()
-        removed: List[str] = []
-        for entry in dropped:
-            for name in entry["segments"]:
-                try:
-                    (self.path / name).unlink()
-                    removed.append(name)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-        return removed
 
     # -- hygiene --------------------------------------------------------
 
