@@ -259,8 +259,8 @@ class TestFrontier:
             "--memory-budget", "16K")
 
     def test_resume_errors_are_clean(self, capsys, tmp_path):
-        """User errors around ``--resume`` end in one ``error:`` line,
-        not a traceback."""
+        """User errors around ``--resume`` and ``--keep-run-dir`` end in
+        one ``error:`` line, not a traceback or a silent no-op."""
         run_dir = str(tmp_path / "run")
         code, _out = run(capsys, *self.ARGS, "--spill-dir", run_dir,
                          "--keep-run-dir")
@@ -269,6 +269,7 @@ class TestFrontier:
             ("--resume",),
             ("--resume", "--spill-dir", str(tmp_path / "empty")),
             ("--resume", "--spill-dir", run_dir),
+            ("--keep-run-dir",),
         ]
         for extra in cases:
             with pytest.raises(SystemExit) as info:
