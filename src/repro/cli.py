@@ -637,6 +637,8 @@ def cmd_frontier(args) -> int:
     budget = _parse_bytes(args.memory_budget)
     if args.resume and args.spill_dir is None:
         raise SystemExit("error: --resume needs --spill-dir")
+    if args.keep_run_dir and args.spill_dir is None:
+        raise SystemExit("error: --keep-run-dir needs --spill-dir")
     engine = FrontierBFS(
         net,
         memory_budget_bytes=budget,
@@ -1033,7 +1035,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "--spill-dir instead of starting over")
     p.add_argument("--keep-run-dir", action="store_true",
                    help="keep the spill run dir after a successful run "
-                        "(default: cleaned on success, kept on crash)")
+                        "(default: cleaned on success, kept on crash); "
+                        "needs --spill-dir")
     p.add_argument("--sample-pairs", type=int, metavar="N",
                    help="also sample N pair distances via bidirectional "
                         "search (mean + 95%% CI)")
