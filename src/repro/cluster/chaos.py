@@ -229,11 +229,3 @@ class ChaosRunner:
 
     def __exit__(self, *_exc) -> None:
         self.join()
-
-    def kill_offsets(self) -> List[float]:
-        """Wall offsets of the kills that actually landed."""
-        return [
-            entry["offset"] for entry in self.applied
-            if entry["event"]["action"] == "kill"
-            and entry.get("offset") is not None
-        ]

@@ -295,11 +295,6 @@ def _register_owned(name: str) -> None:
     _OWNED_SEGMENTS.add(name)
 
 
-def owned_segments() -> Tuple[str, ...]:
-    """Segment names this process created and is responsible for."""
-    return tuple(sorted(_OWNED_SEGMENTS))
-
-
 def unlink_segment(name: str) -> bool:
     """Remove a segment's name from the host (attached mappings live
     on); returns ``False`` when it was already gone."""

@@ -28,7 +28,7 @@ from .encoding import (
     make_key_fn,
 )
 from .engine import DEFAULT_MEMORY_BUDGET, FrontierBFS, FrontierResult
-from .spill import FrontierRunDir, SpillError, active_run_dirs
+from .spill import FrontierRunDir, SpillError
 
 
 def frontier_profile(graph, **kwargs) -> FrontierResult:
@@ -43,7 +43,6 @@ __all__ = [
     "FrontierResult",
     "FrontierRunDir",
     "SpillError",
-    "active_run_dirs",
     "expand_states",
     "frontier_profile",
     "generator_columns",

@@ -95,11 +95,6 @@ def _unregister_active(run: "FrontierRunDir") -> None:
         _ACTIVE_RUNS.pop(str(run.path), None)
 
 
-def active_run_dirs() -> List[str]:
-    """Run dirs this process is currently writing (tests, debugging)."""
-    return sorted(_ACTIVE_RUNS)
-
-
 # ----------------------------------------------------------------------
 # The run dir
 # ----------------------------------------------------------------------

@@ -19,10 +19,6 @@ from .profiler import Profiler
 from .tracer import Span
 
 
-def span_to_dict(span: Span) -> Dict[str, object]:
-    return span.to_dict()
-
-
 def spans_to_jsonl(spans: Iterable[Span]) -> str:
     """One compact JSON object per line, in span-start order."""
     return "".join(

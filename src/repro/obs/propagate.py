@@ -75,10 +75,6 @@ class TraceContext:
             None if parent_span_id is None else str(parent_span_id)
         )
 
-    def child_of(self, span_id: str) -> "TraceContext":
-        """The context to forward to the next hop."""
-        return TraceContext(self.trace_id, span_id)
-
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {"trace_id": self.trace_id}
         if self.parent_span_id is not None:
