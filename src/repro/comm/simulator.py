@@ -34,7 +34,6 @@ import numpy as np
 
 from ..core.cayley import CayleyGraph
 from ..core.compiled import rank_array
-from ..core.lru import EVICTION_METRIC, LRUCache
 from ..core.permutations import Permutation
 from ..emulation.models import CommModel
 from ..faults.injector import FaultInjector, FaultPolicy
@@ -249,23 +248,19 @@ class _FaultState:
     """Live fault bookkeeping inside one simulator run.
 
     The compiled path keeps the state in a
-    :class:`~repro.faults.FaultMask` only, whose reverse-BFS tables
+    :class:`~repro.faults.FaultMask` only, whose two-ended searches
     serve re-routes; the object path keeps ``dead_nodes`` /
     ``dead_links`` sets keyed like its queues (Permutations).
     ``nodes_down`` / ``links_down`` say whether anything is down at all,
-    for the per-queue early exits; ``epoch`` invalidates the table
-    caches whenever an event batch fires.
+    for the per-queue early exits.
     """
 
     dead_nodes: set = field(default_factory=set)
     dead_links: set = field(default_factory=set)
     nodes_down: bool = False
     links_down: bool = False
-    epoch: int = 0
     mask: Optional[object] = None                 # FaultMask (compiled path)
     fault_set: Optional[object] = None            # FaultSet cache (object path)
-    route_tables: Optional[LRUCache] = None       # per-target reverse-BFS LRU
-    tables_epoch: int = -1
 
 
 class PacketSimulator:
@@ -296,7 +291,6 @@ class PacketSimulator:
         fault_policy: Union[FaultPolicy, str] = FaultPolicy.REROUTE,
         max_retries: int = 3,
         retry_backoff: int = 1,
-        route_table_capacity: int = 64,
     ):
         self.graph = graph
         self.model = model
@@ -320,16 +314,7 @@ class PacketSimulator:
         self._policy = FaultPolicy(fault_policy)
         self._max_retries = max_retries
         self._retry_backoff = max(1, retry_backoff)
-        self._faults = None
-        if injector is not None:
-            # Bounded like the serve engine's route-table cache: hotspot
-            # traffic touches few targets, uniform traffic must not
-            # accumulate one table per node.
-            self._faults = _FaultState(route_tables=LRUCache(
-                route_table_capacity,
-                metric=EVICTION_METRIC,
-                cache="sim-route-tables",
-            ))
+        self._faults = None if injector is None else _FaultState()
         self._dropped = 0
         self._rerouted = 0
         self._retries = 0
@@ -408,7 +393,6 @@ class PacketSimulator:
             state.fault_set = None
             state.nodes_down = bool(state.dead_nodes)
             state.links_down = bool(state.dead_links)
-        state.epoch += 1
         registry = get_registry()
         if registry.enabled:
             registry.counter("faults.events").inc(count)
@@ -437,7 +421,7 @@ class PacketSimulator:
 
     def _live_fault_set(self):
         """Object-form FaultSet of the current state (object-path
-        re-routes); rebuilt once per event epoch."""
+        re-routes); rebuilt after each event batch."""
         from ..routing.fault_tolerant import FaultSet
 
         state = self._faults
@@ -472,29 +456,13 @@ class PacketSimulator:
         packet.dropped_round = self._round
         self._dropped += 1
 
-    def _route_table(self, target_id: int, source_id: int):
-        """Per-target reverse-BFS distance table, LRU-cached per epoch.
-
-        A table stops at the layer that reaches the source it is built
-        for, so a cached one serves only sources it labels (those are
-        no farther than its own source, and every nearer rank is
-        exact); any other source rebuilds the entry."""
-        state = self._faults
-        if state.tables_epoch != state.epoch:
-            state.route_tables.clear()
-            state.tables_epoch = state.epoch
-        table = state.route_tables.get(target_id)
-        if table is None or table[source_id] < 0:
-            table = state.mask.distances_to(target_id, source_id)
-            state.route_tables.put(target_id, table)
-        return table
-
     def _reroute_word(self, packet: Packet) -> Optional[List[str]]:
         """A fault-free route from the packet's current node to its
-        target, or ``None`` when none exists."""
+        target, or ``None`` when none exists: on the compiled path, the
+        descent on one two-ended search per re-route."""
         if self._compiled is not None:
             mask = self._ensure_mask()
-            table = self._route_table(packet.target_id, packet.at_id)
+            table = mask.distances_to(packet.target_id, packet.at_id)
             word_ids = mask.route_ids_via_table(
                 packet.at_id, packet.target_id, table
             )

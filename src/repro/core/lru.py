@@ -1,7 +1,6 @@
 """A bounded least-recently-used cache with eviction metrics.
 
-Long-running serving processes (:mod:`repro.serve`) and fault-injected
-simulator runs (:mod:`repro.comm.simulator`) both cache expensive
+Long-running serving processes (:mod:`repro.serve`) cache expensive
 per-key artefacts — warm :class:`~repro.core.compiled.CompiledGraph`
 backends, per-target reverse-BFS route tables — whose working set is
 small but whose key space is unbounded (every target node is a
@@ -40,7 +39,7 @@ class LRUCache:
     remaining keyword labels are attached to every increment so several
     caches can share one counter, e.g.::
 
-        LRUCache(64, metric=EVICTION_METRIC, cache="sim-route-tables")
+        LRUCache(64, metric=EVICTION_METRIC, cache="serve-route-tables")
 
     Reads (:meth:`get` / :meth:`get_or_create` / ``in``) refresh
     recency; :attr:`evictions` counts entries dropped over the cache's

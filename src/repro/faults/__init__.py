@@ -7,9 +7,9 @@ paths.  This package turns those structural claims into an executable
 fault model on top of the compiled core:
 
 * :class:`FaultMask` — vectorized node/link fault state over a
-  :class:`~repro.core.compiled.CompiledGraph`'s move tables, with a
-  fault-aware masked BFS (distances, first hops, parents, reachable
-  sets) that replaces the per-call dict BFS of
+  :class:`~repro.core.compiled.CompiledGraph`'s move tables, with
+  masked searches (distances from a source or to a target, reachable
+  sets, shortest live routes) that replace the per-call dict BFS of
   :mod:`repro.routing.fault_tolerant` on materialisable graphs;
 * :class:`FaultInjector` / :class:`FaultEvent` — deterministic, seeded
   link/node failure (and repair) schedules that fire mid-run inside
@@ -22,12 +22,11 @@ the correctness oracle; ``tests/test_faults.py`` compares the two
 differentially across all ten network families.
 """
 
-from .mask import FaultMask, MaskedBFS
+from .mask import FaultMask
 from .injector import FaultEvent, FaultInjector, FaultPolicy
 
 __all__ = [
     "FaultMask",
-    "MaskedBFS",
     "FaultEvent",
     "FaultInjector",
     "FaultPolicy",

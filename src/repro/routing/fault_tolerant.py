@@ -9,9 +9,9 @@ faults leave it routable.  This module provides:
 * :class:`FaultSet` — failed nodes and failed (directed) links;
 * :func:`fault_tolerant_route` — shortest route avoiding the faults.
   On materialisable graphs it runs on the compiled core's move tables
-  (one vectorized masked BFS, see :mod:`repro.faults.mask`); the
-  object-path implementation remains the correctness oracle and the
-  only route for large ``k`` (``use_compiled=False`` forces it);
+  (one masked search from both ends, see :mod:`repro.faults.mask`);
+  the object-path implementation remains the correctness oracle and
+  the only route for large ``k`` (``use_compiled=False`` forces it);
 * :func:`valiant_route` — two-phase randomized routing via an
   intermediate node, a classic congestion-smoothing technique that also
   tolerates faults by resampling intermediates;
@@ -81,12 +81,12 @@ def fault_tolerant_route(
     """A shortest route from ``source`` to ``target`` avoiding all
     faults (endpoints themselves must be alive).
 
-    Dispatches to the vectorized masked BFS of
+    Dispatches to the two-ended masked search of
     :class:`repro.faults.FaultMask` on materialisable graphs (default),
     or the per-call dict BFS reference with ``use_compiled=False``.
-    Both return the *same word* (the masked BFS replays the object
-    path's FIFO tie-breaks), asserted differentially in
-    ``tests/test_faults.py``.
+    Both return the *same word* (the lexicographically least shortest
+    live word, which the FIFO search's tie-breaks pick), asserted
+    differentially in ``tests/test_faults.py``.
     """
     if faults.blocks_node(source) or faults.blocks_node(target):
         raise RoutingError("source or target node has failed")

@@ -436,30 +436,6 @@ class TestLRU:
         assert len(engine._route_tables) == 2
         assert engine._route_tables.evictions == 2
 
-    def test_simulator_route_table_cache_bounded(self):
-        """The simulator's per-target reverse-BFS cache shares the
-        bounded LRU (satellite of the serve tentpole)."""
-        from repro.comm.simulator import PacketSimulator
-        from repro.faults import FaultInjector
-
-        net = make_network("MS", l=2, n=2)
-        injector = FaultInjector.random(
-            net, link_rate=0.05, seed=4, at_round=1
-        )
-        sim = PacketSimulator(net, injector=injector,
-                              route_table_capacity=3)
-        state = sim._faults
-        assert state.route_tables.capacity == 3
-        import random as random_module
-        rng = random_module.Random(9)
-        for _ in range(30):
-            source = Permutation.random(net.k, rng)
-            target = Permutation.random(net.k, rng)
-            word = [d for d, _ in net.shortest_path(source, target)]
-            sim.submit(source, word)
-        sim.run()
-        assert len(state.route_tables) <= 3
-
 
 # ----------------------------------------------------------------------
 # Shard pool
