@@ -7,8 +7,8 @@ correlated by the echoed ``id``) and the length-prefixed binary frame
 protocol (struct header + numpy column payloads for the hot ops).
 Either way, requests are not answered one at a time — arrivals are
 parked for a short *batching window* and then handed to the back end as
-one ``execute_many`` call, which coalesces same-network distance
-queries into single vectorised passes.  Under concurrency the window
+one ``execute_many`` call, which coalesces same-network distance and
+table-route queries into single vectorised passes.  Under concurrency the window
 converts ``n`` socket round-trips into one array operation; when
 traffic is sparse the window is the only added latency — and the
 window itself *adapts*: :class:`AdaptiveWindow` scales it down from the
