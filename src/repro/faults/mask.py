@@ -38,12 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class FaultMask:
-    """Node/link fault masks plus the masked searches over them.
-
-    Mutation (``fail_*`` / ``repair_*`` / :meth:`apply_events`) bumps
-    :attr:`epoch`, a version number for anything that caches results
-    computed under the masks.
-    """
+    """Node/link fault masks plus the masked searches over them."""
 
     def __init__(self, graph: "CayleyGraph"):
         self.graph = graph
@@ -52,7 +47,6 @@ class FaultMask:
         self.num_gens = len(self.compiled.gen_names)
         self.node_ok = np.ones(n, dtype=bool)
         self.link_ok = np.ones((self.num_gens, n), dtype=bool)
-        self.epoch = 0
         self._gens = np.arange(self.num_gens)
 
     # -- construction --------------------------------------------------
@@ -103,7 +97,6 @@ class FaultMask:
             mask.link_ok = rng.random((mask.num_gens, n)) >= link_rate
         for node in protect:
             mask.node_ok[graph.node_id(node)] = True
-        mask.epoch += 1
         return mask
 
     # -- mutation ------------------------------------------------------
@@ -115,19 +108,15 @@ class FaultMask:
 
     def fail_node(self, node_id: int) -> None:
         self.node_ok[node_id] = False
-        self.epoch += 1
 
     def repair_node(self, node_id: int) -> None:
         self.node_ok[node_id] = True
-        self.epoch += 1
 
     def fail_link(self, node_id: int, dimension) -> None:
         self.link_ok[self._gen_idx(dimension), node_id] = False
-        self.epoch += 1
 
     def repair_link(self, node_id: int, dimension) -> None:
         self.link_ok[self._gen_idx(dimension), node_id] = True
-        self.epoch += 1
 
     def apply_events(self, node_ids: np.ndarray, gens: np.ndarray,
                      fail: np.ndarray) -> None:
@@ -135,7 +124,7 @@ class FaultMask:
         write per mask: row ``i`` is node ``node_ids[i]`` when
         ``gens[i]`` is -1, else its link along generator ``gens[i]``.
         Where rows name the same element the last one wins, as if the
-        rows were applied one by one.  Bumps :attr:`epoch` once."""
+        rows were applied one by one."""
         n = self.compiled.num_nodes
         node_ids = np.asarray(node_ids, dtype=np.int64)
         gens = np.asarray(gens, dtype=np.int64)
@@ -147,7 +136,6 @@ class FaultMask:
             gens[~nodes] * n + node_ids[~nodes], alive[~nodes]
         )
         self.link_ok[links // n, links % n] = ok
-        self.epoch += 1
 
     # -- inspection ----------------------------------------------------
 
@@ -328,7 +316,6 @@ class FaultMask:
             return []
         saved_nodes = self.node_ok.copy()
         saved_links = self.link_ok.copy()
-        saved_epoch = self.epoch
         moves = self.compiled.moves
         words: List[List[str]] = []
         try:
@@ -352,13 +339,11 @@ class FaultMask:
         finally:
             self.node_ok = saved_nodes
             self.link_ok = saved_links
-            self.epoch = saved_epoch
 
     def __repr__(self) -> str:
         return (
             f"<FaultMask {self.graph.name}: {self.num_failed_nodes()} "
-            f"dead nodes, {self.num_failed_links()} dead links, "
-            f"epoch {self.epoch}>"
+            f"dead nodes, {self.num_failed_links()} dead links>"
         )
 
 

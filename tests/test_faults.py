@@ -214,14 +214,6 @@ class TestFaultMask:
         mask = FaultMask.from_fault_set(star4, faults)
         assert mask.to_fault_set() == faults
 
-    def test_epoch_bumps_on_every_mutation(self, star4):
-        mask = FaultMask(star4)
-        before = mask.epoch
-        mask.fail_node(1)
-        mask.fail_link(0, "T2")
-        mask.repair_node(1)
-        assert mask.epoch == before + 3
-
     def test_reverse_table_routes_match_bfs_distance(self, star4):
         """Greedy descent on the reverse-BFS table reaches the target in
         exactly the masked-BFS distance, for every live source."""
