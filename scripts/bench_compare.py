@@ -11,8 +11,12 @@ ratio and how many pairs the change won (by the metric's ``better``
 direction).  A metric is flagged when the change's median is worse than
 the parent's by more than its ``bound`` (a fraction of the parent's
 median), and so is a change run that reports ``correct: false`` or
-failed operations.  Exit code 0 means nothing was flagged, 1 that
-something was, 2 that the input could not be read.
+failed operations.  Under the table, one line gives each side's host
+steal (``host.steal_pct`` from the ``diagnostics`` line before each run)
+as median [min, max] over the compared runs, or ``n/a`` when its
+diagnostics carry none: a few high-steal runs can move a latency median
+on their own.  Exit code 0 means nothing was flagged, 1 that something
+was, 2 that the input could not be read.
 """
 
 import argparse
@@ -22,19 +26,41 @@ import sys
 from pathlib import Path
 
 SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+STEAL = "host.steal_pct"
 
 
 def read_runs(path):
-    """The result objects (lines with ``metrics``) of one run series."""
+    """The result objects (lines with ``metrics``) of one run series,
+    each with the ``diagnostics`` printed just before it (``{}`` when
+    there were none)."""
     runs = []
+    diagnostics = {}
     for line in Path(path).read_text().splitlines():
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
             continue
-        if isinstance(record, dict) and "metrics" in record:
-            runs.append(record)
+        if not isinstance(record, dict):
+            continue
+        if isinstance(record.get("diagnostics"), dict):
+            diagnostics = record["diagnostics"]
+        elif "metrics" in record:
+            runs.append(dict(record, diagnostics=diagnostics))
+            diagnostics = {}
     return runs
+
+
+def steal_summary(runs):
+    """Host steal over ``runs`` as ``median [min, max]`` percent, or
+    ``n/a`` when no run's diagnostics carry it."""
+    values = [
+        run["diagnostics"][STEAL] for run in runs
+        if isinstance(run["diagnostics"].get(STEAL), (int, float))
+    ]
+    if not values:
+        return "n/a"
+    return (f"{statistics.median(values):.1f} "
+            f"[{min(values):.1f}, {max(values):.1f}]")
 
 
 def quartiles(values):
@@ -110,6 +136,9 @@ def main(argv=None) -> int:
     for row in [header] + rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
               .rstrip())
+    compared = min(len(parent), len(change))
+    print(f"{STEAL} (%): parent {steal_summary(parent[:compared])}, "
+          f"change {steal_summary(change[:compared])}")
     for flag in flags:
         print(f"FLAG {flag}")
     return 1 if flags else 0

@@ -11,12 +11,16 @@ UNITS = {"setup_s": "s", "run_s": "s", "peak_rss_mib": "MiB",
          "throughput_rps": "1/s", "p50_ms": "ms", "p90_ms": "ms"}
 
 
-def _series(path, runs, correct=True):
+def _series(path, runs, correct=True, steal=None):
     """One file as ``perfbench/run.py`` would print it, run after run:
-    a diagnostics line, then the result line."""
+    a diagnostics line (with ``steal[i]`` as run ``i``'s host steal when
+    given), then the result line."""
     lines = []
-    for values in runs:
-        lines.append(json.dumps({"diagnostics": {"host.cpus": 2}}))
+    for i, values in enumerate(runs):
+        diagnostics = {"host.cpus": 2}
+        if steal is not None:
+            diagnostics["host.steal_pct"] = steal[i]
+        lines.append(json.dumps({"diagnostics": diagnostics}))
         lines.append(json.dumps({
             "correct": correct, "attempted": 7, "failed": 0 if correct else 1,
             "metrics": {name: {"value": values[name], "unit": unit}
@@ -53,6 +57,20 @@ def test_clean_comparison(tmp_path):
     assert table["throughput_rps"][-1] == "3/4"
     assert table["setup_s"][-1] == "0/4"  # a tie is not a win
     assert "FLAG" not in done.stdout
+    assert "host.steal_pct (%): parent n/a, change n/a" in done.stdout
+
+
+def test_reports_host_steal_per_side(tmp_path):
+    parent = _series(tmp_path / "parent.jsonl", _runs([1.0, 1.1, 0.9, 1.0]),
+                     steal=[0.5, 14.7, 2.0, 3.0])
+    # the fifth change run has no parent partner, so it is not compared
+    change = _series(tmp_path / "change.jsonl",
+                     _runs([0.8, 0.9, 0.85, 0.8, 0.7]),
+                     steal=[1.0, 0.0, 0.25, 6.0, 40.0])
+    done = _compare(parent, change)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert ("host.steal_pct (%): parent 2.5 [0.5, 14.7], "
+            "change 0.6 [0.0, 6.0]") in done.stdout.splitlines()
 
 
 def test_flags_a_regression_and_a_failed_run(tmp_path):
