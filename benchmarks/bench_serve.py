@@ -134,8 +134,7 @@ def test_batched_engine_speedup_k8(report):
         single_total = min(single_total, time.perf_counter() - t0)
 
     # -- batched engine: every pair in one protocol request ------------
-    # (a 20k-pair batch is over MAX_HOT_ITEMS, so repeat trials bypass
-    # the hot-query cache and measure the kernels every time)
+    # (the engine caches no answers, so every trial runs the kernels)
     engine = QueryEngine()
     spec = network_spec(net)
     # warm the engine's own instance (its BFS tables) outside the clock,
