@@ -827,6 +827,28 @@ class TestServeMetrics:
             gauge = registry.gauge(SIZE_METRIC)
             assert gauge.value(cache="serve-graphs") == 1
 
+    def test_coalesced_batch_publishes_cache_gauges(self):
+        from repro.obs import MetricsRegistry, use_registry
+
+        registry = MetricsRegistry()
+        spec = {"family": "MS", "l": 2, "n": 2}
+        with use_registry(registry):
+            responses = QueryEngine().execute_many([
+                {"op": "distance", "network": spec,
+                 "pairs": [["12345", "21345"]]},
+                {"op": "distance", "network": spec,
+                 "pairs": [["34251", "12345"]]},
+            ])
+        assert all(r["ok"] for r in responses), responses
+        assert registry.counter("serve.coalesced_requests").total() == 2
+        snap = registry.snapshot()["gauges"]
+        entries = {
+            row["labels"]["cache"]: row["value"]
+            for row in snap["serve.cache_entries"]
+        }
+        assert entries["graphs"] == 1
+        assert any(row["value"] > 0 for row in snap["serve.table_bytes"])
+
 
 # ----------------------------------------------------------------------
 # Trace replay pacing
