@@ -467,10 +467,12 @@ class QueryEngine:
             "table_bytes": self.table_bytes(),
         }
 
-    def _set_cache_gauges(self, registry) -> None:
+    def publish_cache_gauges(self, registry) -> None:
         """Current cache occupancy as ``serve.cache_entries`` /
-        ``serve.table_bytes`` gauge rows (the shard pool's parent reads
-        these off shipped worker snapshots)."""
+        ``serve.table_bytes`` gauge rows.  Called once per batch (at
+        the end of :meth:`execute_many`, and before each shard worker's
+        snapshot ship), not per request; the shard pool's parent reads
+        these off shipped worker snapshots."""
         gauge = registry.gauge("serve.cache_entries")
         gauge.set(len(self._graphs), cache="graphs")
         gauge.set(len(self._route_tables), cache="route-tables")
@@ -506,7 +508,6 @@ class QueryEngine:
         registry = get_registry()
         if registry.enabled:
             registry.counter("serve.queries").inc(1, op=str(op))
-            self._set_cache_gauges(registry)
         if handler is None:
             return self._fail(request, f"unknown op {op!r}")
         with get_tracer().span("serve.execute", op=str(op)):
@@ -569,10 +570,14 @@ class QueryEngine:
                 continue
             for i, response in zip(indices, merged):
                 responses[i] = response
-        return [
+        responses = [
             self.execute(request) if response is None else response
             for request, response in zip(requests, responses)
         ]
+        registry = get_registry()
+        if registry.enabled:
+            self.publish_cache_gauges(registry)
+        return responses
 
     def _coalesced(
         self, op: str, requests: List[Dict[str, object]]

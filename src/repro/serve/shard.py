@@ -101,6 +101,7 @@ def _worker_main(shard_index, in_queue, out_queue, table_cache,
         while True:
             item = in_queue.get()
             if item is _STOP:
+                engine.publish_cache_gauges(registry)
                 out_queue.put(
                     ("metrics", shard_index, None, registry.snapshot())
                 )
@@ -161,6 +162,7 @@ def _worker_main(shard_index, in_queue, out_queue, table_cache,
             now = time.monotonic()
             if now - last_ship >= METRICS_SHIP_INTERVAL_S or last_ship == 0.0:
                 last_ship = now
+                engine.publish_cache_gauges(registry)
                 out_queue.put(
                     ("metrics", shard_index, None, registry.snapshot())
                 )
