@@ -5,13 +5,14 @@ corollary, or Figure 1 panel), asserts the claim's shape, and writes the
 paper-style rows to ``benchmarks/results/<name>.txt`` so the output
 survives pytest's stdout capture.  EXPERIMENTS.md indexes those files.
 
-The session also runs under a live :mod:`repro.obs` stack — tracer,
-metrics registry, profiler — so alongside each text table the harness
-emits machine-readable artefacts:
+The session also runs under a live :mod:`repro.obs` stack — tracer and
+metrics registry — so alongside each text table the harness emits
+machine-readable artefacts:
 
 * ``BENCH_<name>.json`` — the table rows as a JSON list per benchmark;
 * ``BENCH_trace.jsonl`` — the full span trace of the session;
-* ``BENCH_obs.json`` — the metrics snapshot + hot-path profile.
+* ``BENCH_obs.json`` — the metrics snapshot + the per-name span summary
+  (:func:`repro.obs.span_summary`, the ``--profile`` table's rows).
 """
 
 import json
@@ -21,9 +22,8 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
-    Profiler,
     Tracer,
-    use_profiler,
+    span_summary,
     use_registry,
     use_tracer,
     write_spans_jsonl,
@@ -34,19 +34,18 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 @pytest.fixture(scope="session", autouse=True)
 def obs_stack():
-    """Attach a real tracer/registry/profiler for the whole benchmark
-    session; export the machine-readable artefacts at teardown."""
+    """Attach a real tracer/registry for the whole benchmark session;
+    export the machine-readable artefacts at teardown."""
     tracer = Tracer()
     registry = MetricsRegistry()
-    profiler = Profiler(enabled=True)
-    with use_tracer(tracer), use_registry(registry), use_profiler(profiler):
-        yield tracer, registry, profiler
+    with use_tracer(tracer), use_registry(registry):
+        yield tracer, registry
     RESULTS_DIR.mkdir(exist_ok=True)
     write_spans_jsonl(tracer.spans, RESULTS_DIR / "BENCH_trace.jsonl")
     (RESULTS_DIR / "BENCH_obs.json").write_text(json.dumps({
         "spans": len(tracer.spans),
         "metrics": registry.snapshot(),
-        "profile": profiler.snapshot(),
+        "profile": span_summary(tracer.spans),
     }, indent=1))
 
 

@@ -12,7 +12,8 @@ Usage (also via ``python -m repro``)::
 
 Every subcommand accepts the observability flags ``--metrics``,
 ``--trace-out FILE``, and ``--profile`` (docs/observability.md), plus
-``--json`` on ``properties`` and ``mnb`` for structured output.
+``--json`` on ``properties`` and ``mnb`` for structured output.  The
+``--profile`` table summarises the same spans ``--trace-out`` writes.
 """
 
 from __future__ import annotations
@@ -33,16 +34,14 @@ from .networks import FAMILIES, make_network
 from .obs import (
     FLIGHT_DIR_ENV,
     MetricsRegistry,
-    Profiler,
     TraceCollector,
     Tracer,
     get_registry,
     get_span_buffer,
     get_tracer,
     render_metrics_table,
-    render_profile_table,
+    render_span_table,
     set_registry,
-    use_profiler,
     use_registry,
     use_tracer,
     write_spans_jsonl,
@@ -112,7 +111,10 @@ def _add_obs_args(parser):
     group.add_argument("--trace-out", metavar="FILE",
                        help="write a JSON-lines span trace to FILE")
     group.add_argument("--profile", action="store_true",
-                       help="time the hot paths; print the table at exit")
+                       help="at exit, print calls, total, mean and max "
+                            "per span name over the spans --trace-out "
+                            "writes; on serve and cluster, memory grows "
+                            "by one span per batch until exit")
 
 
 def _add_shared_tables_arg(parser):
@@ -1100,19 +1102,17 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # --metrics / --trace-out / --profile switch the process-global
     # no-ops for real collectors around the command; results print (or
-    # write) after the command finishes, even if it raises.
-    tracer = Tracer() if (args.trace_out or getattr(args, "trace", False)) \
-        else None
+    # write) after the command finishes, even if it raises; --profile
+    # summarises the same tracer's spans.
+    tracer = Tracer() if (args.trace_out or getattr(args, "trace", False)
+                          or args.profile) else None
     registry = MetricsRegistry() if args.metrics else None
-    profiler = Profiler(enabled=True) if args.profile else None
 
     with ExitStack() as stack:
         if tracer is not None:
             stack.enter_context(use_tracer(tracer))
         if registry is not None:
             stack.enter_context(use_registry(registry))
-        if profiler is not None:
-            stack.enter_context(use_profiler(profiler))
         # serving commands install a live registry by default
         # (_serving_obs_defaults); restore the caller's on the way out
         # so in-process invocations don't leak process-global state
@@ -1136,8 +1136,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                           file=sys.stderr)
             if registry is not None:
                 print(render_metrics_table(registry), file=sys.stderr)
-            if profiler is not None:
-                print(render_profile_table(profiler), file=sys.stderr)
+            if args.profile:
+                print(render_span_table(tracer.spans), file=sys.stderr)
     return code
 
 

@@ -37,7 +37,7 @@ from ..core.compiled import rank_array
 from ..core.permutations import Permutation
 from ..emulation.models import CommModel
 from ..faults.injector import FaultInjector, FaultPolicy
-from ..obs import get_registry, get_tracer, profiled
+from ..obs import get_registry, get_tracer
 
 
 @dataclass
@@ -530,33 +530,32 @@ class PacketSimulator:
 
     # -- execution -------------------------------------------------------------
 
-    @profiled("sim.run")
     def run(self, max_rounds: int = 10_000_000) -> SimulationResult:
         """Simulate until every packet is delivered or dropped.
 
         With ``record_rounds`` the result additionally carries one
         :class:`RoundTrace` per round (plus a round-0 injection record).
         """
-        if self._injector is not None:
-            # Round-0 events hit already-submitted packets at their
-            # sources before the first simulation step.
-            self._apply_fault_events()
-            self._resolve_blocked_queues()
-        if self.record_rounds:
-            self._round_traces.append(RoundTrace(
-                round=0,
-                sent=0,
-                delivered=self._delivered,
-                in_flight=len(self._packets) - self._delivered
-                - self._dropped,
-                max_queue=self._current_max_queue(),
-                per_dimension={},
-                dropped=self._dropped,
-                rerouted=self._rerouted,
-            ))
         with get_tracer().span(
             "sim.run", model=self.model.value, packets=len(self._packets)
         ) as span:
+            if self._injector is not None:
+                # Round-0 events hit already-submitted packets at their
+                # sources before the first simulation step.
+                self._apply_fault_events()
+                self._resolve_blocked_queues()
+            if self.record_rounds:
+                self._round_traces.append(RoundTrace(
+                    round=0,
+                    sent=0,
+                    delivered=self._delivered,
+                    in_flight=len(self._packets) - self._delivered
+                    - self._dropped,
+                    max_queue=self._current_max_queue(),
+                    per_dimension={},
+                    dropped=self._dropped,
+                    rerouted=self._rerouted,
+                ))
             while self._delivered + self._dropped < len(self._packets):
                 if self._round >= max_rounds:
                     raise RuntimeError(
@@ -566,19 +565,20 @@ class PacketSimulator:
                 self._step()
             span.set(rounds=self._round, delivered=self._delivered,
                      dropped=self._dropped)
-        result = SimulationResult(
-            rounds=self._round,
-            delivered=self._delivered,
-            link_traffic=self._public_traffic(),
-            max_queue=self._max_queue,
-            round_traces=(
-                list(self._round_traces) if self.record_rounds else None
-            ),
-            dropped=self._dropped,
-            rerouted=self._rerouted,
-            retries=self._retries,
-        )
-        self._emit_metrics(result)
+            result = SimulationResult(
+                rounds=self._round,
+                delivered=self._delivered,
+                link_traffic=self._public_traffic(),
+                max_queue=self._max_queue,
+                round_traces=(
+                    list(self._round_traces) if self.record_rounds
+                    else None
+                ),
+                dropped=self._dropped,
+                rerouted=self._rerouted,
+                retries=self._retries,
+            )
+            self._emit_metrics(result)
         return result
 
     def _public_traffic(self) -> Dict[Tuple[Permutation, str], int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..obs import profiled
+from ..obs import traced
 from .compiled import MAX_COMPILE_K, CompiledGraph
 from .generators import Generator, GeneratorSet
 from .permutations import Permutation, factorial
@@ -179,7 +179,7 @@ class CayleyGraph:
     # BFS machinery
     # ------------------------------------------------------------------
 
-    @profiled("core.bfs_layers")
+    @traced("core.bfs_layers")
     def bfs_layers(
         self,
         source: Optional[Permutation] = None,

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from ..obs import get_tracer, profiled
+from ..obs import get_tracer
 from .permutations import Permutation, factorial
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -453,7 +453,6 @@ class CompiledGraph:
             self._moves = self._compile_moves()
         return self._moves
 
-    @profiled("compiled.moves")
     def _compile_moves(self) -> np.ndarray:
         with get_tracer().span(
             "compiled.moves", network=self.graph.name, nodes=self.num_nodes
@@ -474,7 +473,6 @@ class CompiledGraph:
         if self._dist is None:
             self._run_bfs()
 
-    @profiled("compiled.bfs")
     def _run_bfs(self) -> None:
         """The kernel's tree from the identity (rank 0).  A layer-1
         node's first hop is its own generator; deeper nodes inherit

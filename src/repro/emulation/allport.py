@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..core.super_cayley import SuperCayleyNetwork
-from ..obs import get_tracer, profiled
+from ..obs import get_tracer
 from .schedule import Schedule, ScheduleEntry
 
 
@@ -53,7 +53,6 @@ def theorem5_slowdown(l: int, n: int) -> int:
     return max(2 * n, l + 2)
 
 
-@profiled("emulation.allport_schedule")
 def allport_schedule(network: SuperCayleyNetwork) -> Schedule:
     """The diagonal all-port schedule emulating one star step.
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.compiled import descend, layered_bfs, meet_distances
 from ..core.permutations import Permutation
-from ..obs import profiled
+from ..obs import traced
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.cayley import CayleyGraph
@@ -170,7 +170,7 @@ class FaultMask:
         must be live too."""
         return self.link_ok[self._gens, cand] & self.node_ok[cand]
 
-    @profiled("faults.masked_bfs")
+    @traced("faults.masked_bfs")
     def bfs(self, source_id: int) -> np.ndarray:
         """Distance from ``source_id`` to every rank over the live
         sub-network (``-1`` where unreachable, and everywhere when the
@@ -186,7 +186,7 @@ class FaultMask:
         mask (the source itself included when alive)."""
         return self.bfs(source_id) >= 0
 
-    @profiled("faults.masked_reverse_bfs")
+    @traced("faults.masked_reverse_bfs")
     def distances_to(
         self, target_id: int, source_id: Optional[int] = None
     ) -> np.ndarray:

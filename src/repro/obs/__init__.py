@@ -1,11 +1,12 @@
-"""Observability: span tracing, labeled metrics, hot-path profiling.
+"""Observability: span tracing and labeled metrics.
 
 The paper's claims are quantitative (rounds, traffic, makespans), so the
-library instruments itself: the simulator, routers, schedulers, and
-experiment sweeps emit spans and metrics through the process-global
-tracer/registry/profiler defined here.  All three default to no-ops —
+library instruments itself: the simulator, routers, schedulers, BFS
+kernels and experiment sweeps emit spans and metrics through the
+process-global tracer/registry defined here.  Both default to no-ops —
 ``repro --metrics/--trace-out/--profile`` (or :func:`use_tracer` etc.)
-switch on collection for a region of code.
+switch on collection for a region of code; ``--profile`` summarises the
+tracer's spans per name (:func:`span_summary`).
 
 The serving/cluster stack additionally uses the *distributed* half of
 the layer: wire-level trace propagation (:mod:`.propagate`), bounded
@@ -66,20 +67,14 @@ from .flight import (
     record_event,
     reset_flight_recorder,
 )
-from .profiler import (
-    Profiler,
-    get_profiler,
-    profiled,
-    set_profiler,
-    use_profiler,
-)
 from .export import (
     merge_metrics_snapshots,
     read_spans_jsonl,
     render_metrics_table,
-    render_profile_table,
+    render_span_table,
     save_metrics_snapshot,
     load_metrics_snapshot,
+    span_summary,
     spans_to_jsonl,
     write_spans_jsonl,
 )
@@ -127,11 +122,6 @@ __all__ = [
     "reset_flight_recorder",
     "record_event",
     "dump_flight",
-    "Profiler",
-    "get_profiler",
-    "set_profiler",
-    "use_profiler",
-    "profiled",
     "spans_to_jsonl",
     "write_spans_jsonl",
     "read_spans_jsonl",
@@ -139,5 +129,6 @@ __all__ = [
     "load_metrics_snapshot",
     "merge_metrics_snapshots",
     "render_metrics_table",
-    "render_profile_table",
+    "span_summary",
+    "render_span_table",
 ]

@@ -15,7 +15,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from .histogram import LogHistogram
 from .metrics import MetricsRegistry, _key
-from .profiler import Profiler
 from .tracer import Span
 
 
@@ -183,7 +182,42 @@ def render_metrics_table(registry: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-def render_profile_table(profiler: Profiler) -> str:
-    """Delegates to :meth:`Profiler.render_table` (kept here so every
-    exporter lives in one module)."""
-    return profiler.render_table()
+def span_summary(spans: Iterable[Span]) -> Dict[str, Dict[str, float]]:
+    """Per-name ``{calls, total_s, mean_s, min_s, max_s}`` over the
+    closed ``spans`` (open ones are skipped), hottest total first."""
+    durations: Dict[str, List[float]] = {}
+    for span in spans:
+        if span.end is not None:
+            durations.setdefault(span.name, []).append(span.duration)
+    rows = {}
+    for name, times in durations.items():
+        total = sum(times)
+        rows[name] = {
+            "calls": len(times),
+            "total_s": total,
+            "mean_s": total / len(times),
+            "min_s": min(times),
+            "max_s": max(times),
+        }
+    return dict(sorted(rows.items(), key=lambda kv: -kv[1]["total_s"]))
+
+
+def render_span_table(spans: Iterable[Span]) -> str:
+    """Human-readable :func:`span_summary` (calls, total, mean and max
+    per span name), hottest first — the ``--profile`` table."""
+    rows = span_summary(spans)
+    if not rows:
+        return "profile: no spans recorded"
+    width = max(len(name) for name in rows)
+    lines = [
+        f"{'span'.ljust(width)}  {'calls':>7}  {'total':>10}  "
+        f"{'mean':>10}  {'max':>10}",
+        "-" * (width + 45),
+    ]
+    for name, s in rows.items():
+        lines.append(
+            f"{name.ljust(width)}  {s['calls']:>7}  "
+            f"{s['total_s']:>9.4f}s  {s['mean_s']:>9.4f}s  "
+            f"{s['max_s']:>9.4f}s"
+        )
+    return "\n".join(lines)

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from ..core.permutations import Permutation
 from ..core.super_cayley import SuperCayleyNetwork, split_star_dimension
-from ..obs import get_tracer, profiled
+from ..obs import get_tracer
 from .sc_routing import record_route_metrics, simplify_word
 from .star_routing import star_route
 
@@ -78,7 +78,6 @@ def rotator_emulation_dilation(network: SuperCayleyNetwork) -> int:
     )
 
 
-@profiled("routing.rotator_family_route")
 def rotator_family_route(
     network: SuperCayleyNetwork,
     source: Permutation,

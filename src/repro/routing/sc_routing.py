@@ -18,7 +18,7 @@ from typing import List, Optional
 
 from ..core.permutations import Permutation
 from ..core.super_cayley import SuperCayleyNetwork
-from ..obs import get_registry, get_tracer, profiled
+from ..obs import get_registry, get_tracer
 from .star_routing import star_route
 
 
@@ -80,7 +80,6 @@ def walk_route(
         yield dim, node
 
 
-@profiled("routing.sc_route")
 def sc_route(
     network: SuperCayleyNetwork,
     source: Permutation,
