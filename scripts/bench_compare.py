@@ -11,7 +11,11 @@ ratio and how many pairs the change won (by the metric's ``better``
 direction).  A metric is flagged when the change's median is worse than
 the parent's by more than its ``bound`` (a fraction of the parent's
 median), and so is a change run that reports ``correct: false`` or
-failed operations.  Under the table, one line gives each side's host
+failed operations.  A metric that is not flagged is marked
+``UNRESOLVED`` in the last column when the parent's own spread
+(q3 - q1) is wider than its bound times the parent's median and not
+every change run beats every parent run: such runs cannot tell a change
+inside the bound from none.  Under the table, one line gives each side's host
 steal (``host.steal_pct`` from the ``diagnostics`` line before each run)
 as median [min, max] over the compared runs, or ``n/a`` when its
 diagnostics carry none: a few high-steal runs can move a latency median
@@ -88,6 +92,8 @@ def compare(parent, change, spec):
         old_median, new_median = statistics.median(old), statistics.median(new)
         q1, q3 = quartiles(old)
         wins = sum(1 for p, c in values if (c < p if lower else c > p))
+        every_run_wins = (max(new) < min(old) if lower
+                          else min(new) > max(old))
         ratio = new_median / old_median if old_median else float("inf")
         worse = (new_median - old_median) * (1 if lower else -1)
         flagged = worse > metric["bound"] * abs(old_median)
@@ -97,10 +103,17 @@ def compare(parent, change, spec):
                 f"the parent's {old_median:.4g} by more than "
                 f"{metric['bound']:.0%}"
             )
+        if flagged:
+            mark = "WORSE"
+        elif q3 - q1 > metric["bound"] * abs(old_median) \
+                and not every_run_wins:
+            mark = "UNRESOLVED"
+        else:
+            mark = ""
         rows.append((
             name, metric["unit"], f"{old_median:.4g}",
             f"[{q1:.4g}, {q3:.4g}]", f"{new_median:.4g}", f"{ratio:.3f}",
-            f"{wins}/{len(values)}", "WORSE" if flagged else "",
+            f"{wins}/{len(values)}", mark,
         ))
     for i, run in enumerate(change):
         if not run.get("correct", False) or run.get("failed", 0):

@@ -57,6 +57,7 @@ def test_clean_comparison(tmp_path):
     assert table["throughput_rps"][-1] == "3/4"
     assert table["setup_s"][-1] == "0/4"  # a tie is not a win
     assert "FLAG" not in done.stdout
+    assert "UNRESOLVED" not in done.stdout
     assert "host.steal_pct (%): parent n/a, change n/a" in done.stdout
 
 
@@ -85,6 +86,25 @@ def test_flags_a_regression_and_a_failed_run(tmp_path):
         "run_s:", "throughput_rps:", "p50_ms:", "p90_ms:", "change"}
     assert "WORSE" in next(line for line in done.stdout.splitlines()
                            if line.startswith("run_s"))
+
+
+def test_marks_a_spread_wider_than_the_bound_unresolved(tmp_path):
+    # parent run_s quartiles 1.0 and 2.0: a spread of 1.0 against a 25%
+    # bound on the 1.5 median
+    parent = _series(tmp_path / "parent.jsonl", _runs([1.0, 2.0, 1.0, 2.0]))
+    mixed = _series(tmp_path / "mixed.jsonl", _runs([1.2, 1.9, 1.1, 1.8]))
+    done = _compare(parent, mixed)
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = {line.split()[0]: line.split() for line in done.stdout.splitlines()}
+    assert rows["run_s"][-1] == "UNRESOLVED"
+    assert rows["setup_s"][-1] == "0/4"  # no spread, no mark
+    assert "FLAG" not in done.stdout
+    # every change run beats every parent run: resolved despite the spread
+    faster = _series(tmp_path / "faster.jsonl",
+                     _runs([0.5, 0.6, 0.55, 0.7]))
+    done = _compare(parent, faster)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "UNRESOLVED" not in done.stdout
 
 
 def test_unreadable_input(tmp_path):
