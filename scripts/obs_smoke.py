@@ -7,7 +7,6 @@ Run with ``PYTHONPATH=src python scripts/obs_smoke.py``; exits non-zero
 with a message on the first violated assertion.
 """
 
-import json
 import sys
 import tempfile
 from pathlib import Path

@@ -36,8 +36,6 @@ class TestTheoremSweeps:
 
 class TestEmbeddingSweeps:
     def test_star_sweep_matches_theorems(self):
-        from repro.embeddings import theoretical_star_dilation
-
         by_host = {row.host: row for row in star_embedding_sweep()}
         assert by_host["MS(2,2)"].dilation == 3
         assert by_host["IS(5)"].dilation == 2
