@@ -1,14 +1,15 @@
 """Compiled-core speedup benchmark (the PR's headline number).
 
 Repeats the paper-table workload — diameter, distance distribution,
-average distance, and a full routing-table build with route queries —
+average distance, and route queries over one whole-graph BFS tree —
 on a ``k = 8`` family (MS(7,1), ``8! = 40320`` nodes) twice:
 
 * **object path**: the pre-refactor behaviour, one Python-level BFS per
-  statistic (fresh graph instances defeat the new memoisation, and the
-  routing table is built with ``use_compiled=False``);
+  statistic (fresh graph instances defeat the new memoisation), and
+  routes walked over the object BFS spanning tree;
 * **compiled path**: one shared vectorised BFS (compile time *included*
-  in the measurement) serving every query from cached arrays.
+  in the measurement) serving every query from cached arrays, routes
+  included (``shortest_path``).
 
 Asserts the compiled path is at least 5x faster end to end and records
 the per-query and total timings via the ``report`` fixture
@@ -18,9 +19,9 @@ the per-query and total timings via the ``report`` fixture
 import random
 import time
 
+from repro.comm.spanning_trees import _object_bfs_spanning_tree
 from repro.core.permutations import Permutation
 from repro.networks import MacroStar
-from repro.routing.tables import RoutingTable
 
 REQUIRED_SPEEDUP = 5.0
 NUM_ROUTES = 50
@@ -34,8 +35,16 @@ def _route_pairs(k, count):
     ]
 
 
-def _run_routes(table, pairs):
-    return sum(len(table.route(u, v)) for u, v in pairs)
+def _tree_route(tree, source, target):
+    """Dimensions of the tree path identity -> ``source^-1 target``,
+    which left translation by ``source`` maps onto a shortest route."""
+    node = source.inverse() * target
+    word = []
+    while node in tree:  # the root (identity) is absent
+        node, dim = tree[node]
+        word.append(dim)
+    word.reverse()
+    return word
 
 
 def test_compiled_speedup_k8(report):
@@ -63,9 +72,11 @@ def test_compiled_speedup_k8(report):
 
     t0 = time.perf_counter()
     net = MacroStar(7, 1)
-    object_table = RoutingTable(net, use_compiled=False)
-    object_hops = _run_routes(object_table, pairs)
-    timings["object table+routes"] = time.perf_counter() - t0
+    object_tree = _object_bfs_spanning_tree(net)
+    object_hops = sum(
+        len(_tree_route(object_tree, u, v)) for u, v in pairs
+    )
+    timings["object tree+routes"] = time.perf_counter() - t0
 
     object_total = sum(timings.values())
 
@@ -77,8 +88,7 @@ def test_compiled_speedup_k8(report):
     compiled_diameter = net.diameter()
     compiled_distribution = net.distance_distribution()
     compiled_average = net.average_distance()
-    compiled_table = RoutingTable(net)
-    compiled_hops = _run_routes(compiled_table, pairs)
+    compiled_hops = sum(len(net.shortest_path(u, v)) for u, v in pairs)
     compiled_total = time.perf_counter() - t0
     timings["compiled all queries"] = compiled_total
 

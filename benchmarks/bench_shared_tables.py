@@ -5,9 +5,9 @@ The multi-layer refactor's acceptance numbers, measured on MS(7,1)
 ``bench_serve.py``):
 
 * **RSS**: in a 1 -> 8 worker sweep with ``--shared-tables`` semantics
-  (parent creates the segment, workers attach read-only and touch
-  every table page), each worker's *private* RSS growth must be at
-  most 15% of the single-copy table footprint.  A baseline sweep where
+  (the parent creates the store file in ``/dev/shm``, workers attach
+  it read-only and touch every table page), each worker's *private*
+  RSS growth must be at most 15% of the single-copy table footprint.  A baseline sweep where
   each worker compiles its own tables shows the ~100% it replaces.
 * **attach latency**: attaching the pre-built store must be at least
   5x faster than the cold in-process compile the baseline workers pay.
@@ -17,7 +17,7 @@ The multi-layer refactor's acceptance numbers, measured on MS(7,1)
 
 Private RSS is read from ``/proc/self/smaps_rollup``
 (``Private_Clean + Private_Dirty``), so pages backed by the shared
-segment — resident but shared — do not count against a worker.
+store — resident but shared — do not count against a worker.
 
 Writes ``benchmarks/results/BENCH_shared_tables.json`` with the
 structured sweep rows (plus the usual text table).
@@ -86,7 +86,7 @@ def _worker(mode, out):
     The RSS window brackets *only* acquire + page-touch: a forked
     CPython privatises copy-on-write pages just by running (refcount
     writes and lazy imports), so the worker first exercises the *same*
-    code path end to end on a tiny instance (MS(2,1), 6 nodes, segment
+    code path end to end on a tiny instance (MS(2,1), 6 nodes, store
     pre-created by the parent) to flush that noise out of the
     measurement."""
     warm = MacroStar(2, 1)
@@ -154,9 +154,9 @@ def test_shared_tables_sweep(report):
     ]
 
     # one host copy, created once by this (parent) process (plus the
-    # tiny MS(2,1) segment the workers' warm-up phase attaches)
-    handle = tablestore.create_segment(net)
-    warm_handle = tablestore.create_segment(MacroStar(2, 1))
+    # tiny MS(2,1) store the workers' warm-up phase attaches)
+    handle = tablestore.create_store(net)
+    warm_handle = tablestore.create_store(MacroStar(2, 1))
     sweep = []
     try:
         baseline = _run_sweep("private", 2)

@@ -85,9 +85,9 @@ def _add_table_cache_arg(parser):
     parser.add_argument(
         "--table-cache", metavar="DIR",
         help="reuse compiled tables across runs and processes: attach "
-             "the mmap'd store <DIR>/<network>.tables when it is valid, "
-             "compile and write it otherwise (materialisable networks "
-             "only)")
+             "the one store file <DIR>/<network>.tables when it is "
+             "valid, compile and write it otherwise (materialisable "
+             "networks only)")
 
 
 def _apply_table_cache(net, args) -> None:
@@ -95,11 +95,11 @@ def _apply_table_cache(net, args) -> None:
     cache_dir = getattr(args, "table_cache", None)
     if not cache_dir or not net.can_compile():
         return
-    from .core.tablestore import store_dir
+    from .core.tablestore import store_path
     from .io import attach_compiled_tables
 
     _, mode = attach_compiled_tables(net, cache_dir=cache_dir)
-    print(f"table cache: {mode} {store_dir(net, cache_dir)}",
+    print(f"table cache: {mode} {store_path(net, cache_dir)}",
           file=sys.stderr)
 
 
@@ -121,9 +121,10 @@ def _add_shared_tables_arg(parser):
     parser.add_argument(
         "--shared-tables", action="store_true",
         help="one host copy of each family's compiled tables: workers "
-             "and replicas attach a read-only shared-memory segment "
+             "and replicas attach one read-only store file in /dev/shm "
              "instead of compiling private copies (with --table-cache "
-             "they attach its mmap'd store, with or without this flag)",
+             "they attach its store file in DIR, with or without this "
+             "flag)",
     )
 
 

@@ -27,7 +27,7 @@ def bfs_spanning_tree(graph: CayleyGraph) -> Dict[Permutation, Tuple[Permutation
 
     Served from the graph's shared compiled parent array when the graph
     is materialisable — the same cached BFS that backs the statistics
-    and routing tables.  The object-path fallback below discovers nodes
+    and shortest paths.  The object-path fallback below discovers nodes
     in the identical frontier-major, generator-minor order, so both
     produce the same tree (asserted by the differential tests).
     """

@@ -135,7 +135,7 @@ class CayleyGraph:
     def compiled(self) -> CompiledGraph:
         """The memoised array backend (built lazily on first call).
 
-        All whole-graph statistics, routing tables, and spanning trees
+        All whole-graph statistics, shortest paths, and spanning trees
         are served from its cached identity-rooted BFS; raises
         :class:`~repro.core.compiled.CompileBudgetError` beyond
         materialisation range (use the frontier engine).

@@ -14,19 +14,20 @@ same information fits comfortably in a handful of numpy arrays:
   ``move_g[r] = rank(perm_r * g)``, so "apply ``g`` to a whole BFS
   frontier" is one fancy-index operation;
 * a single identity-rooted whole-frontier BFS yields the ``distances``
-  array, per-layer node lists, the shortest-path **first-hop** table
-  (the routing table of :mod:`repro.routing.tables`), and the BFS
-  **parent** arrays (the broadcast tree of
-  :mod:`repro.comm.spanning_trees`) — all at once, cached forever
-  (Cayley graphs are immutable).
+  array, per-layer node lists, and the BFS **parent** arrays — all at
+  once, cached forever (Cayley graphs are immutable).  The parent tree
+  is the broadcast tree of :mod:`repro.comm.spanning_trees` and, by
+  vertex transitivity, a shortest route from every source: the route
+  ``u -> v`` is the tree path to ``u^{-1} v`` translated by ``u``
+  (:meth:`~repro.core.cayley.CayleyGraph.shortest_path`).
 
 That BFS, the reverse one, the fault-masked ones and the server's route
 tables all run one kernel, :func:`layered_bfs`; the fault routes'
 two-ended :func:`meet_distances` grows its balls with the same layer
 step.  The kernel visits candidates in exactly the frontier-major,
 generator-minor order of the object-based FIFO implementations, so
-distances, layer contents, first hops, and tree parents match the
-object path *exactly*, which the differential tests in
+distances, layer contents, and tree parents match the object path
+*exactly*, which the differential tests in
 ``tests/test_compiled.py`` assert on all ten network families.
 
 The object path remains the reference implementation and the only route
@@ -75,11 +76,10 @@ def estimate_table_bytes(k: int, degree: int) -> int:
 
     Per node: ``k`` label bytes, ``4 * degree`` move-table bytes plus
     the same again for inverse moves, and 12 bytes of BFS products
-    (distances int16 + first_hop int16 + parent int32 + parent_gen
-    int16 ≈ 10, order int32 rounds it to 14 with layer offsets
-    amortised to ~0).
+    (distances int16 + parent int32 + parent_gen int16 + order int32,
+    with layer offsets amortised to ~0).
     """
-    return factorial(k) * (k + 8 * max(1, degree) + 14)
+    return factorial(k) * (k + 8 * max(1, degree) + 12)
 
 
 # ----------------------------------------------------------------------
@@ -388,15 +388,11 @@ class CompiledGraph:
     distances:
         ``int16[k!]`` — distance from the identity to every rank
         (``-1`` for unreachable ranks of non-generating sets).
-    first_hop:
-        ``int16[k!]`` — generator *index* of the first hop of a
-        shortest identity-to-rank path (``-1`` at the identity and at
-        unreachable ranks).  Identical to the object-based
-        :class:`~repro.routing.tables.RoutingTable` dict.
     parent / parent_gen:
         ``int32[k!]`` / ``int16[k!]`` — BFS-tree predecessor rank and
         the generator index with ``parent * gen = node``.  Identical to
-        the object-based BFS spanning tree.
+        the object-based BFS spanning tree; walking it gives every
+        shortest route (:func:`tree_word`).
     order / layer_starts:
         ranks in discovery order, and offsets such that layer ``d`` is
         ``order[layer_starts[d]:layer_starts[d + 1]]``.
@@ -423,7 +419,6 @@ class CompiledGraph:
         self._labels: Optional[np.ndarray] = None
         self._moves: Optional[np.ndarray] = None
         self._dist: Optional[np.ndarray] = None
-        self._first_hop: Optional[np.ndarray] = None
         self._parent: Optional[np.ndarray] = None
         self._parent_gen: Optional[np.ndarray] = None
         self._order: Optional[np.ndarray] = None
@@ -434,7 +429,7 @@ class CompiledGraph:
         #: names of arrays that are zero-copy views into a host-shared
         #: store (see :meth:`from_store`) rather than private copies.
         self._attached: frozenset = frozenset()
-        #: the store handle keeping an attached segment/mmap alive.
+        #: the store handle the attached views come from.
         self._store = None
 
     # -- construction helpers ------------------------------------------
@@ -474,21 +469,14 @@ class CompiledGraph:
             self._run_bfs()
 
     def _run_bfs(self) -> None:
-        """The kernel's tree from the identity (rank 0).  A layer-1
-        node's first hop is its own generator; deeper nodes inherit
-        their parent's, layer by layer."""
+        """The kernel's tree from the identity (rank 0)."""
         with get_tracer().span(
             "compiled.bfs", network=self.graph.name, nodes=self.num_nodes
         ) as span:
             dist, parent, parent_gen, order, starts = layered_bfs(
                 self.moves, 0, tree=True
             )
-            first_hop = parent_gen.copy()
-            for lo, hi in zip(starts[2:-1], starts[3:]):
-                layer = order[lo:hi]
-                first_hop[layer] = first_hop[parent[layer]]
             self._dist = dist
-            self._first_hop = first_hop
             self._parent = parent
             self._parent_gen = parent_gen
             self._order = order
@@ -500,21 +488,21 @@ class CompiledGraph:
         """Build a compiled view over a host-shared table store.
 
         ``handle`` is a :class:`repro.core.tablestore.StoreHandle`
-        whose arrays are zero-copy **read-only** views into a shared
-        segment or mmap'd ``.npy`` store — nothing is copied, so forty
-        workers attaching one MS(7,1) store hold one physical copy of
-        its tables between them.  The handle is retained on the
-        instance to keep the underlying mapping alive.
+        whose arrays are zero-copy **read-only** views into a mmap'd
+        store file — nothing is copied, so forty workers attaching one
+        MS(7,1) store hold one physical copy of its tables between
+        them.  The handle is retained on the instance, which is how
+        the serve engine learns whether it created the store.
         """
         compiled = cls(graph)
         n, degree = graph.num_nodes, len(compiled.gen_names)
-        # plain ndarray views: np.memmap's Python-level indexing hooks
+        # plain ndarray views: a subclass's Python-level indexing hooks
         # would otherwise tax every table lookup
         arrays = {name: np.asarray(a) for name, a in handle.arrays.items()}
         for name, shape in (
             ("labels", (n, graph.k)), ("moves", (degree, n)),
             ("inverse_moves", (degree, n)), ("distances", (n,)),
-            ("first_hop", (n,)), ("parent", (n,)), ("parent_gen", (n,)),
+            ("parent", (n,)), ("parent_gen", (n,)),
         ):
             if arrays[name].shape != shape:
                 raise ValueError(
@@ -525,7 +513,6 @@ class CompiledGraph:
         compiled._moves = arrays["moves"]
         compiled._inverse_moves = arrays["inverse_moves"]
         compiled._dist = arrays["distances"]
-        compiled._first_hop = arrays["first_hop"]
         compiled._parent = arrays["parent"]
         compiled._parent_gen = arrays["parent_gen"]
         compiled._order = arrays["order"]
@@ -549,7 +536,6 @@ class CompiledGraph:
             "moves": self._moves,
             "inverse_moves": self._inverse_moves,
             "distances": self._dist,
-            "first_hop": self._first_hop,
             "parent": self._parent,
             "parent_gen": self._parent_gen,
             "order": self._order,
@@ -592,11 +578,6 @@ class CompiledGraph:
     def distances(self) -> np.ndarray:
         self._ensure_bfs()
         return self._dist
-
-    @property
-    def first_hop(self) -> np.ndarray:
-        self._ensure_bfs()
-        return self._first_hop
 
     @property
     def parent(self) -> np.ndarray:
@@ -687,13 +668,6 @@ class CompiledGraph:
                 f"{target} not reachable from {source} in {self.graph.name}"
             )
         return d
-
-    def first_hop_name(self, node_id: int) -> str:
-        """Dimension of the first hop of a shortest identity-to-ID path."""
-        hop = int(self.first_hop[node_id])
-        if hop < 0:
-            raise KeyError(node_id)
-        return self.gen_names[hop]
 
     def path_gen_ids(self, node_id: int) -> List[int]:
         """Generator indices of the BFS-tree path identity -> ``node_id``."""

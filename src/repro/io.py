@@ -170,74 +170,54 @@ def attach_compiled_tables(
     The one entry point for tables that outlive or are shared beyond a
     single compile: ``--table-cache``, ``--shared-tables``, the serve
     engine and the experiment sweeps.  Every process on a host gets
-    read-only views of **one** copy of the family's arrays:
-
-    * with ``cache_dir``: the mmap'd ``.npy`` directory store
-      ``<cache_dir>/<name>.tables`` (page-cache shared, survives
-      restarts);
-    * without: a named shared-memory segment
-      (:func:`repro.core.tablestore.segment_name`).
+    read-only views of **one** copy of the family's arrays: the store
+    file :func:`repro.core.tablestore.store_path` names, which is
+    ``<cache_dir>/<name>.tables`` with ``cache_dir`` (it survives
+    restarts) and the family's segment in ``/dev/shm`` without.
 
     Attach is tried first; on a miss the host lock for the store is
     taken, attach retried (someone else usually built it while we
     waited), and only then are the tables compiled and the store
     created — N cold workers run one BFS between them.  A store that
     fails validation (manifest, shapes, CRC32s) is replaced.  Any
-    other failure (no shared memory on the platform, lock timeout, an
-    unusable cache path) degrades to a private in-process compile.
+    other failure (lock timeout, an unusable cache path, a full
+    ``/dev/shm``) degrades to a private in-process compile.
 
     Returns ``(compiled, mode)`` with mode ``"attach"``, ``"create"``,
     or ``"fallback"``; the compiled view is installed as the graph's
-    backend either way.  Created segments are registered for this
-    process (see :func:`release_compiled_tables`).
+    backend either way.  A created ``/dev/shm`` store is owned by this
+    process (see :func:`release_compiled_tables`); a cache store is
+    never unlinked.
     """
     if not graph.can_compile():
         raise ValueError(
             f"{graph.name}: k = {graph.k} tables cannot be materialised"
         )
 
-    def _attach() -> StoreHandle:
-        if cache_dir is not None:
-            return tablestore.attach_dir_store(graph, cache_dir)
-        return tablestore.attach_segment(graph)
-
     def _adopt(handle: StoreHandle, mode: str) -> Tuple[CompiledGraph, str]:
         compiled = CompiledGraph.from_store(graph, handle)
         graph.adopt_compiled(compiled)
         return compiled, mode
 
-    if cache_dir is not None:
-        # Keyed on the resolved store path; the lock file lives in the
-        # host lock directory, so the cache directory holds only stores.
-        where = str(tablestore.store_dir(graph, cache_dir).resolve())
-        lock_key = f"store-{hashlib.sha1(where.encode()).hexdigest()[:12]}"
-    else:
-        lock_key = f"store-{tablestore.store_digest(graph)}"
     try:
         try:
-            return _adopt(_attach(), "attach")
-        except TableStoreMissing:
-            rebuild = False
-        except TableStoreError:
-            rebuild = True  # exists but untrustworthy: replace it
+            return _adopt(tablestore.attach_store(graph, cache_dir), "attach")
+        except TableStoreError:  # missing, or there but untrustworthy
+            pass
         if not create:
             raise TableStoreMissing(f"no table store for {graph.name}")
+        # Keyed on the resolved store path; the lock file lives in the
+        # host lock directory, so a cache directory holds only stores.
+        where = str(tablestore.store_path(graph, cache_dir).resolve())
+        lock_key = f"store-{hashlib.sha1(where.encode()).hexdigest()[:12]}"
         with host_lock(lock_key):
             try:
-                return _adopt(_attach(), "attach")
-            except TableStoreMissing:
+                return _adopt(
+                    tablestore.attach_store(graph, cache_dir), "attach"
+                )
+            except TableStoreError:  # create replaces a bad store
                 pass
-            except TableStoreError:
-                rebuild = True
-            if cache_dir is not None:
-                handle = tablestore.create_dir_store(graph, cache_dir)
-            else:
-                if rebuild:
-                    tablestore.unlink_segment(
-                        tablestore.segment_name(graph)
-                    )
-                handle = tablestore.create_segment(graph)
-            return _adopt(handle, "create")
+            return _adopt(tablestore.create_store(graph, cache_dir), "create")
     except TableStoreMissing:
         raise
     except (TableStoreError, OSError, ValueError, MemoryError):
@@ -250,11 +230,11 @@ def attach_compiled_tables(
 
 
 def release_compiled_tables(name: Optional[str] = None) -> int:
-    """Unlink shared segments this process created: the one named, or
-    every owned segment (``None``).  Pool drain and replica kill route
-    through this so crashed consumers never leak ``/dev/shm``; an
-    ``atexit`` hook covers anything that skips it.  Returns the number
-    of segments actually unlinked."""
+    """Unlink ``/dev/shm`` stores this process created: the segment
+    named, or every owned one (``None``).  Pool drain and replica kill
+    route through this so crashed consumers never leak ``/dev/shm``;
+    an ``atexit`` hook covers anything that skips it.  Cache stores are
+    never owned.  Returns the number of stores actually unlinked."""
     if name is not None:
         return int(tablestore.unlink_segment(name))
     return tablestore.release_owned_segments()

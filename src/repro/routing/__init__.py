@@ -21,7 +21,6 @@ from .sc_routing import (
     simplify_word,
     walk_route,
 )
-from .tables import RoutingTable
 from .rotator_routing import (
     insertion_transposition_word,
     rotator_emulation_dilation,
@@ -66,5 +65,4 @@ __all__ = [
     "rotator_star_dimension_word",
     "rotator_emulation_dilation",
     "rotator_family_route",
-    "RoutingTable",
 ]

@@ -341,19 +341,20 @@ class QueryEngine:
     ----------
     table_cache:
         Optional directory of compiled-table stores: warm graphs attach
-        the mmap'd store ``<table_cache>/<name>.tables``, creating it on
+        the store file ``<table_cache>/<name>.tables``, creating it on
         a miss (:func:`repro.io.attach_compiled_tables`).
     shared_tables:
-        Without ``table_cache``, attach a named shared-memory segment
-        the same way instead of compiling privately.  Either store
-        gives zero-copy read-only views of one host-wide copy, and
-        degrades to a private compile only when the shared path fails.
-        Each acquisition increments ``serve.table_attach`` with a
-        ``mode=create|attach|fallback`` label.
+        Without ``table_cache``, attach the family's store file in
+        ``/dev/shm`` the same way instead of compiling privately.
+        Either store gives zero-copy read-only views of one host-wide
+        copy, and degrades to a private compile only when the shared
+        path fails.  Each acquisition increments ``serve.table_attach``
+        with a ``mode=create|attach|fallback`` label.
     on_table_create:
         Called with the segment name whenever this engine *creates* a
-        shared-memory segment — the hook shard workers use to ship
-        ownership to the pool parent so drain can unlink it.
+        ``/dev/shm`` store — the hook shard workers use to ship
+        ownership to the pool parent so drain can unlink it.  A cache
+        store is never reported: nothing unlinks it.
     max_graphs / max_route_tables / max_embeddings:
         LRU capacities for the three caches.  Evictions increment
         ``serve.table_evictions`` with a ``cache`` label.
@@ -412,8 +413,9 @@ class QueryEngine:
 
     def _acquire_shared(self, net: SuperCayleyNetwork) -> None:
         """Attach-first warm-up: one host copy of the tables, counted
-        on ``serve.table_attach{mode=...}``; created segments are
-        reported to :attr:`on_table_create` for pool-drain unlink."""
+        on ``serve.table_attach{mode=...}``; created ``/dev/shm``
+        stores are reported to :attr:`on_table_create` for pool-drain
+        unlink."""
         from ..io import attach_compiled_tables
 
         compiled, mode = attach_compiled_tables(
@@ -427,7 +429,7 @@ class QueryEngine:
             self.on_table_create is not None
             and store is not None
             and store.created
-            and store.kind == "shm"
+            and store.shared
         ):
             self.on_table_create(store.name)
 

@@ -1,6 +1,4 @@
-"""Tests for spectral analysis and precomputed routing tables."""
-
-import random
+"""Tests for spectral analysis."""
 
 import pytest
 
@@ -13,9 +11,7 @@ from repro.analysis.spectral import (
     spectral_gap,
 )
 from repro.analysis import is_bipartite_by_parity
-from repro.core.permutations import Permutation
 from repro.networks import InsertionSelection, MacroRotator, MacroStar
-from repro.routing.tables import RoutingTable
 from repro.topologies import BubbleSortGraph, StarGraph, TranspositionNetwork
 
 
@@ -72,51 +68,3 @@ class TestSpectrum:
         assert spectral_gap(InsertionSelection(5)) > spectral_gap(
             MacroStar(2, 2)
         )
-
-
-class TestRoutingTable:
-    @pytest.fixture
-    def table(self):
-        return RoutingTable(MacroStar(2, 2))
-
-    def test_covers_all_nodes(self, table):
-        assert table.size == 120
-        assert table.memory_entries() == 119
-
-    def test_routes_are_shortest(self, table):
-        net = table.graph
-        rng = random.Random(5)
-        for _ in range(20):
-            u = Permutation.random(5, rng)
-            v = Permutation.random(5, rng)
-            word = table.route(u, v)
-            assert net.apply_word(u, word) == v
-            assert len(word) == net.distance(u, v)
-            assert len(word) == table.distance(u, v)
-
-    def test_trivial_route(self, table):
-        u = Permutation([3, 1, 5, 4, 2])
-        assert table.route(u, u) == []
-        assert table.distance(u, u) == 0
-
-    def test_eccentricity_is_diameter(self, table):
-        assert table.eccentricity() == 8
-
-    def test_directed_network_table(self):
-        net = MacroRotator(2, 2)
-        table = RoutingTable(net)
-        rng = random.Random(7)
-        for _ in range(10):
-            u = Permutation.random(5, rng)
-            v = Permutation.random(5, rng)
-            word = table.route(u, v)
-            assert net.apply_word(u, word) == v
-            assert len(word) == net.distance(u, v)
-
-    def test_lookup_speed_vs_bfs(self):
-        """The point of the table: routing 200 pairs costs a fraction of
-        200 BFS runs.  We check the count of table entries rather than
-        wall-clock (timing lives in the benchmarks)."""
-        net = InsertionSelection(4)
-        table = RoutingTable(net)
-        assert table.memory_entries() == net.num_nodes - 1
