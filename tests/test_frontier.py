@@ -165,6 +165,22 @@ class TestDifferential:
                 net, target, memory_budget_bytes=1 << 18
             ) == int(compiled.distances[target.rank()])
 
+    def test_bidirectional_map_and_window_agree(self, net, dedup_maps):
+        # each ball dedups within half the budget, so both keep a map at
+        # twice the engine's line and neither does one byte below it
+        line = 2 * map_budget(net.k)
+        distances = net.compiled().distances
+        rng = np.random.default_rng(13)
+        targets = [Permutation.random(net.k, rng) for _ in range(12)]
+        for budget, on_map in ((line, True), (line - 1, False)):
+            dedup_maps.clear()
+            for target in targets:
+                assert identity_distance(
+                    net, target, memory_budget_bytes=budget
+                ) == int(distances[target.rank()])
+            assert dedup_maps
+            assert all(used == on_map for used in dedup_maps)
+
     def test_pair_distance_matches_compiled(self, net):
         rng = np.random.default_rng(5)
         source = Permutation.random(net.k, rng)

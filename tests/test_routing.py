@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cayley import CayleyGraph
+from repro.core.generators import GeneratorSet, insertion, transposition
 from repro.core.permutations import Permutation, factorial
 from repro.frontier import identity_distance, pair_distance
 from repro.networks import (
@@ -196,6 +198,25 @@ class TestBidirectional:
         assert identity_distance(net, far, max_depth=true_d) == true_d
         with pytest.raises(RuntimeError):
             identity_distance(net, far, max_depth=true_d - 1)
+
+    def test_unreachable_target_reads_minus_one(self):
+        everything = list(Permutation.all_permutations(6))
+        for gens in (
+            [insertion(6, 6)],                           # directed C_6
+            [transposition(6, 2), transposition(6, 3)],  # undirected S_3
+        ):
+            graph = CayleyGraph(GeneratorSet(gens))
+            reach = graph.distances_from()
+            targets = list(reach) + [
+                p for p in everything[::37] if p not in reach
+            ]
+            assert len(targets) > len(reach)
+            # each ball keeps a 6!-bit map (90 bytes) at 360, not at 359
+            for budget in (360, 359):
+                for target in targets:
+                    assert identity_distance(
+                        graph, target, memory_budget_bytes=budget
+                    ) == reach.get(target, -1)
 
     def test_works_on_larger_instance(self):
         # 7! = 5040 nodes — routine for bidirectional search.
