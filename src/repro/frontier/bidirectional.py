@@ -8,14 +8,22 @@ distance is an identity distance: ``d(s, t) = d(id, s⁻¹t)`` (left
 translation is an automorphism, valid for directed families too), so
 the forward ball grows from the identity along the generators and the
 backward ball grows from the relative label along the *inverse*
-generators (predecessor expansion).
+generators (predecessor expansion).  Each ball runs the engine's batch
+step on its own visited set (:class:`~repro.frontier.engine.FrontierBFS`
+runs the same one).
 
-Termination: after both sides have completed depths ``(F, B)``, every
-path of length ``<= F + B`` has produced a meet (a shortest path's
-position-``i`` node sits in forward layer ``i`` and backward layer
-``L - i``; some split with ``i <= F`` and ``L - i <= B`` exists whenever
-``L <= F + B``).  So once ``best <= F + B`` the best meet *is* the
-distance.  Keys are exact for ``k <= 20``
+Termination: the first meet is the distance.  Each ball grows whole
+layers, and every new state is tested against the other ball's visited
+set.  While the balls have completed depths ``(F, B)`` with no meet, the
+distance exceeds ``F + B``: a shortest path of length ``L <= F + B`` has
+a node at forward depth ``i <= F`` and backward depth ``L - i <= B``,
+which would have met.  So when a state of forward layer ``F + 1`` lies
+at backward depth ``j <= B``, ``F + 1 + B <= d <= F + 1 + j``, hence
+``j = B`` and ``d = F + 1 + B`` (and likewise with the sides swapped).
+This holds for directed families and when the other ball is exhausted.
+The meet is always in the other ball's last layer, so on the undirected
+sorted-key window (previous and current layer) the test still finds it.
+Keys are exact for ``k <= 20``
 (:func:`~repro.frontier.encoding.make_key_fn`), which covers every
 target in the paper's range; beyond that a hash collision could
 under-report a distance with probability ~``m² / 2⁶⁴``.
@@ -23,70 +31,54 @@ under-report a distance with probability ~``m² / 2⁶⁴``.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
-from ..core.compiled import first_occurrence
 from ..core.permutations import Permutation
 from .encoding import (
+    STATE_DTYPE,
     chunk_rows,
-    expand_states,
     generator_columns,
     identity_state,
     in_any,
-    in_sorted,
     inverse_generator_columns,
-    make_key_fn,
 )
+from .engine import _RamLayer, _SearchState
 
 #: hard stop for runaway searches on disconnected directed families.
 DEFAULT_MAX_DEPTH = 512
 
 
 class _Ball:
-    """One side of the search: a growing BFS ball with per-layer keys."""
+    """One side of the search: a BFS ball on its own search state."""
 
-    def __init__(self, root: np.ndarray, columns, key_fn, chunk: int):
+    def __init__(self, graph, root: np.ndarray, columns, budget: int,
+                 key_seed: int):
+        self.state = _SearchState.open(
+            graph.k, graph.is_undirectable(), budget, key_seed
+        )
+        self.state.seed(root)
         self.columns = columns
-        self.key_fn = key_fn
-        self.chunk = chunk
-        self.frontier: List[np.ndarray] = [root]
-        root_keys = np.sort(key_fn(root))
-        self.layer_keys: List[np.ndarray] = [root_keys]
         self.depth = 0
         self.size = 1
         self.exhausted = False
 
-    def expand(self) -> Optional[np.ndarray]:
-        """Grow one layer; returns its sorted keys (None if exhausted)."""
-        new_chunks: List[np.ndarray] = []
-        new_keys: List[np.ndarray] = []
-        for block in self.frontier:
-            for lo in range(0, block.shape[0], self.chunk):
-                piece = block[lo:lo + self.chunk]
-                cand = expand_states(piece, self.columns)
-                keys = self.key_fn(cand)
-                sel = first_occurrence(keys, np.flatnonzero(
-                    ~in_any(keys, self.layer_keys + new_keys)
-                ))
-                if not sel.size:
-                    continue
-                new_chunks.append(np.ascontiguousarray(cand[sel]))
-                new_keys.append(np.sort(keys[sel]))
-        if not new_chunks:
-            self.exhausted = True
-            self.frontier = []
-            return None
-        merged = (
-            new_keys[0] if len(new_keys) == 1
-            else np.sort(np.concatenate(new_keys))
-        )
-        self.frontier = new_chunks
-        self.layer_keys.append(merged)
-        self.depth += 1
-        self.size += int(merged.size)
-        return merged
+    def grow(self, other: "_Ball", chunk: int) -> bool:
+        """Build the next layer; True, with the layer unfinished, as
+        soon as a batch reaches a state ``other`` has visited."""
+        chunks = []
+        for states in self.state.frontier.pieces(chunk):
+            fresh, keys = self.state.expand(states, self.columns)
+            if in_any(keys, other.state.guard()).any():
+                return True
+            chunks.append(fresh)
+        self.state.frontier = _RamLayer(chunks)
+        size = sum(len(fresh) for fresh in chunks)
+        self.exhausted = not size
+        if size:
+            self.state.seal()
+            self.depth += 1
+            self.size += size
+        return False
 
 
 def identity_distance(
@@ -98,39 +90,25 @@ def identity_distance(
 ) -> int:
     """Distance from the identity to ``target`` by bidirectional BFS.
 
-    Returns ``-1`` when ``target`` is unreachable (non-generating sets
-    on directed families).  Memory: each side's batches are sized from
-    half the budget; all per-layer key arrays are retained (8 bytes per
-    visited state) for meet detection.
+    Returns ``-1`` when ``target`` is unreachable (non-generating
+    sets).  Memory: each ball gets half the budget, so by the engine's
+    rule it keeps a ``k!``-bit map when ``k!/8 <= budget/4``, else sorted
+    keys (8 bytes per state), and its current and next layers stay in
+    RAM, ``k`` bytes per state.
     """
     k = graph.k
     if target.k != k:
         raise ValueError(f"size mismatch: {target.k} vs {k}")
     if target.is_identity():
         return 0
-    key_fn, _ = make_key_fn(k, key_seed)
-    degree = max(1, graph.degree)
-    chunk = chunk_rows(memory_budget_bytes // 2, k, degree)
-    root_f = identity_state(k)
-    root_b = np.asarray(
-        target.symbols, dtype=root_f.dtype
-    )[None, :]
-    forward = _Ball(root_f, generator_columns(graph), key_fn, chunk)
-    backward = _Ball(
-        root_b, inverse_generator_columns(graph), key_fn, chunk
-    )
-    best = -1
-
-    def note_meets(new_keys: np.ndarray, new_depth: int, other: _Ball,
-                   best: int) -> int:
-        for j, ref in enumerate(other.layer_keys):
-            if in_sorted(new_keys, ref).any():
-                total = new_depth + j
-                if best < 0 or total < best:
-                    best = total
-        return best
-
-    while best < 0 or best > forward.depth + backward.depth:
+    half = memory_budget_bytes // 2
+    chunk = chunk_rows(half, k, max(1, graph.degree))
+    root_b = np.asarray([target.symbols], dtype=STATE_DTYPE)
+    forward = _Ball(graph, identity_state(k), generator_columns(graph),
+                    half, key_seed)
+    backward = _Ball(graph, root_b, inverse_generator_columns(graph),
+                     half, key_seed)
+    while True:
         side, other = (
             (forward, backward)
             if forward.size <= backward.size and not forward.exhausted
@@ -139,16 +117,17 @@ def identity_distance(
         if side.exhausted:
             side, other = other, side
         if side.exhausted:
-            break  # both balls complete: best (or -1) is final
-        new_keys = side.expand()
-        if new_keys is not None:
-            best = note_meets(new_keys, side.depth, other, best)
-        if forward.depth + backward.depth > max_depth:
+            return -1  # both balls complete, and they never met
+        met = side.grow(other, chunk)
+        # an unfinished meeting layer counts as one more layer
+        depth = forward.depth + backward.depth + int(met)
+        if depth > max_depth:
             raise RuntimeError(
                 f"bidirectional search exceeded max_depth={max_depth} "
                 f"on {graph.name}"
             )
-    return best
+        if met:
+            return depth
 
 
 def pair_distance(
