@@ -23,6 +23,7 @@ Writes ``benchmarks/results/BENCH_shared_tables.json`` with the
 structured sweep rows (plus the usual text table).
 """
 
+import gc
 import json
 import multiprocessing
 import pathlib
@@ -88,7 +89,10 @@ def _worker(mode, out):
     writes and lazy imports), so the worker first exercises the *same*
     code path end to end on a tiny instance (MS(2,1), 6 nodes, store
     pre-created by the parent) to flush that noise out of the
-    measurement."""
+    measurement.  It then runs the garbage collector: a worker inherits
+    the parent's generation-0 count at fork, and a collection inside
+    the window would privatise inherited heap pages that are not
+    table memory."""
     warm = MacroStar(2, 1)
     if mode == "shared":
         warm_compiled, _ = attach_compiled_tables(warm, create=False)
@@ -98,6 +102,7 @@ def _worker(mode, out):
     for arr in tablestore.table_arrays(warm_compiled).values():
         np.asarray(arr).reshape(-1).view(np.uint8)[::512].sum()
     net = _network()
+    gc.collect()
     rss_before = _private_rss_kb()
     started = time.perf_counter()
     if mode == "shared":
