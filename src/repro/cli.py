@@ -1026,8 +1026,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_args(p)
     p.add_argument("--memory-budget", default="64M", metavar="BYTES",
                    help="working-set budget, with K/M/G suffix "
-                        "(default: 64M); drives batch size and spill "
-                        "threshold")
+                        "(default: 64M): sizes the batches and the spill "
+                        "threshold; the visited set is a k!-bit map from "
+                        "10M at k = 11 and 115M at k = 12 for a profile, "
+                        "from 20M and 229M for pair distances; without "
+                        "--spill-dir the layers stay in RAM, k bytes per "
+                        "state")
     p.add_argument("--key-seed", type=int, default=0, metavar="SEED",
                    help="seed for the hashed state-key path (k > 20)")
     p.add_argument("--spill-dir", metavar="DIR",

@@ -6,10 +6,11 @@ at ``k <= 9``.  This package explores the same graphs **without a node
 table**: encoded uint8 state matrices, batched per-generator expansion,
 dedup against a ``k!``-bit visited map over Lehmer-rank keys (or a
 window of sorted keys when the map does not fit), a byte budget that
-fixes batch sizes, and crash-resumable spill-to-disk frontiers.  Layer
-profiles, contents and discovery order are byte-identical to the
-compiled BFS (same tie-breaks); pair distances come from
-meet-in-the-middle bidirectional search.
+sizes the batches and the spill threshold and picks the visited set,
+and crash-resumable spill-to-disk frontiers.  Layer profiles, contents
+and discovery order are byte-identical to the compiled BFS (same
+tie-breaks); pair distances come from meet-in-the-middle bidirectional
+search, whose two balls run the profile's batch step.
 
 Entry points: :class:`FrontierBFS` / :func:`frontier_profile` for the
 identity-rooted layer profile, :func:`identity_distance` /
