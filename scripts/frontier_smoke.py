@@ -4,7 +4,9 @@ BFS layer profile exactly, and leave the spill dir empty on exit —
 including the atexit backstop path for a crashed run.  Then MS(9,1),
 k = 10 and past the compiled engine's reach, profiled in RAM under the
 default budget, must equal the closed-form star(10) layer counts
-(MS(l,1) is isomorphic to star(l+1)).
+(MS(l,1) is isomorphic to star(l+1)).  Last, meet-in-the-middle pair
+distances on star(11) (both balls on the k!-bit map) and star(12) (on
+sorted keys) must equal the star closed form on seeded pairs.
 
 Run with ``PYTHONPATH=src python scripts/frontier_smoke.py``; exits
 non-zero with a message on the first violated assertion.
@@ -12,11 +14,17 @@ non-zero with a message on the first violated assertion.
 
 import sys
 import tempfile
+import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.analysis import star_layer_counts
-from repro.frontier import FrontierBFS
+from repro.core.permutations import Permutation
+from repro.frontier import FrontierBFS, pair_distance
 from repro.networks import make_network
+from repro.routing import star_distance_between
+from repro.topologies import StarGraph
 
 #: small enough that each BFS takes milliseconds, big enough (5040
 #: states, peak layer ~1800) that a tiny budget genuinely fragments
@@ -25,6 +33,10 @@ NETWORK = ("MS", {"l": 6, "n": 1})  # MS(6,1): k = 7, 5040 states
 
 #: ~2 layer-segments per wide layer at k = 7 states of 7 bytes.
 TINY_BUDGET = 16 * 1024
+
+#: star graphs past the compile wall and their seeded pair counts: at
+#: the default budget each ball keeps a map at k = 11, sorted keys at 12.
+PAIR_STARS = ((11, 4), (12, 3))
 
 
 def check(condition, message):
@@ -100,11 +112,29 @@ def main() -> int:
           f"{big.name} profile {profile.layer_sizes} != star("
           f"{big.k}) closed form {star_layer_counts(big.k)}")
 
+    pair_times = []
+    for k, pairs in PAIR_STARS:
+        star = StarGraph(k)
+        rng = np.random.default_rng(k)
+        started = time.perf_counter()
+        for _ in range(pairs):
+            u = Permutation.random(k, rng)
+            v = Permutation.random(k, rng)
+            got = pair_distance(star, u, v)
+            check(got == star_distance_between(u, v),
+                  f"{star.name} pair distance {got} != closed form "
+                  f"{star_distance_between(u, v)} for {u} -> {v}")
+        pair_times.append(
+            f"{pairs} on {star.name} in "
+            f"{time.perf_counter() - started:.2f} s"
+        )
+
     print(f"frontier smoke OK: {net.name} profile {result.layer_sizes} "
           f"under {TINY_BUDGET} bytes, {result.spill_segments} spill "
           f"segments, {result.batches} batches, resume from layer 3 "
           f"clean; {big.name} (k = {big.k}) matches the star closed "
-          f"form in {profile.elapsed_seconds:.1f} s")
+          f"form in {profile.elapsed_seconds:.1f} s; pair distances "
+          f"match it too ({', '.join(pair_times)})")
     return 0
 
 
