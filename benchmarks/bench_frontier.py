@@ -17,7 +17,8 @@ The new-subsystem acceptance numbers, measured on the macro-star chain
 * **sampled-pair curves**: meet-in-the-middle bidirectional search
   answers uniform random pair distances on MS(10,1) (``k = 11``) and
   MS(11,1) (``k = 12``, ``12! = 479,001,600`` states) in seconds per
-  pair under the same fixed budget.
+  pair under the same fixed budget; each instance's row records its
+  elapsed seconds.
 
 Each budget runs in its own subprocess so ``ru_maxrss`` is that run's
 honest peak, not the monotonic max of earlier runs in the same
@@ -33,6 +34,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 from repro.analysis import (
     average_distance_from_layers,
@@ -143,10 +145,12 @@ def test_frontier_scale(report):
     pair_rows = []
     for l, pairs in PAIR_INSTANCES:
         net = make_network("MS", l=l, n=1)
+        started = time.perf_counter()
         stats = sampled_distances(
             net, pairs=pairs, seed=PAIR_SEED, method="frontier",
             memory_budget_bytes=FLAGSHIP_BUDGET,
         )
+        stats["elapsed_s"] = round(time.perf_counter() - started, 2)
         assert stats["method"] == "frontier"
         assert len(stats["samples"]) == pairs
         assert all(d >= 0 for d in stats["samples"]), (
@@ -186,7 +190,7 @@ def test_frontier_scale(report):
     lines.append("")
     lines.append(
         f"{'network':>9}  {'k':>2}  {'pairs':>5}  {'mean':>6}  "
-        f"{'ci95':>14}  {'min':>3}  {'max':>3}"
+        f"{'ci95':>14}  {'min':>3}  {'max':>3}  {'elapsed s':>9}"
     )
     for stats in pair_rows:
         lo, hi = stats["ci95"]
@@ -194,7 +198,8 @@ def test_frontier_scale(report):
             f"{stats['network']:>9}  {stats['k']:>2}  "
             f"{stats['pairs']:>5}  {stats['mean']:>6.2f}  "
             f"[{lo:>5.2f}, {hi:>5.2f}]  "
-            f"{stats['min']:>3}  {stats['max']:>3}"
+            f"{stats['min']:>3}  {stats['max']:>3}  "
+            f"{stats['elapsed_s']:>9.2f}"
         )
     report("frontier", lines)
 
