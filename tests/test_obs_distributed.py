@@ -56,6 +56,15 @@ def _workload(count=24, batch=4, seed=0):
 
 class TestClusterTracePropagation:
     def test_trace_crosses_three_process_boundaries(self):
+        self._check_full_chain(protocol="json")
+
+    def test_binary_trace_crosses_three_process_boundaries(self):
+        """Binary frames through the router carry the same chain: the
+        router opens its hop span for them too."""
+        self._check_full_chain(protocol="binary")
+
+    @staticmethod
+    def _check_full_chain(protocol):
         reset_span_buffer()
         with use_registry(MetricsRegistry()):
             with ClusterManager(
@@ -63,7 +72,7 @@ class TestClusterTracePropagation:
             ) as cluster:
                 result = run_loadgen(
                     cluster.host, cluster.port, _workload(),
-                    trace_sample=1.0,
+                    trace_sample=1.0, protocol=protocol,
                 )
             # cluster shutdown closes the shard pools, which pumps the
             # workers' last shipped span batches into this process
