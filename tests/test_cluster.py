@@ -6,8 +6,10 @@ Four belts:
   property exactly: on a join, a key's primary changes only *to* the
   joined replica; on a leave, only keys whose primary *was* the
   departed replica move — and the moved fraction stays near 1/N;
-* **router mechanism** — failover retry answers each request exactly
-  once with no duplicated response ids, draining closes accounting;
+* **router mechanism** — on both wire protocols, failover retry
+  answers each request exactly once with no duplicated response ids,
+  and all-down, malformed and overloaded requests fail closed;
+  draining closes accounting;
 * **chaos schedule** — seeded kill/repair schedules are deterministic
   and respect ``min_alive``;
 * **end-to-end smoke** — a live 3-replica cluster under loadgen with a
@@ -15,6 +17,7 @@ Four belts:
   a rolling restart of every replica loses nothing.
 """
 
+import asyncio
 import json
 import socket
 import threading
@@ -39,6 +42,41 @@ def _small_cluster(replicas=3, **kwargs):
     kwargs.setdefault("warm_specs", (MS22,))
     kwargs.setdefault("probe_interval", 0.05)
     return ClusterManager(replicas=replicas, **kwargs)
+
+
+def _encode(request, protocol):
+    """One request as wire bytes: a binary frame or a JSON line."""
+    if protocol == "binary":
+        return wire.encode_request(request)
+    return json.dumps(request).encode() + b"\n"
+
+
+def _converse(host, port, messages, after=None):
+    """Send wire ``messages`` one at a time on one connection and read
+    each reply as a dict; ``after(i)`` runs once message ``i`` is sent.
+    Each reply must come back in the protocol of its request."""
+
+    async def _run():
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=wire.WIRE_LIMIT
+        )
+        replies = []
+        for i, message in enumerate(messages):
+            writer.write(message)
+            await writer.drain()
+            if after is not None:
+                after(i)
+            reply = await wire.read_message(reader)
+            assert isinstance(reply, wire.Frame) \
+                == (message[0] == wire.MAGIC)
+            replies.append(
+                wire.decode_response(reply)
+                if isinstance(reply, wire.Frame) else json.loads(reply)
+            )
+        writer.close()
+        return replies
+
+    return wire.run(_run())
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +227,12 @@ class TestChaosSchedule:
 
 
 class TestRouterFailover:
+    """Failover, draining, all-down and inline ``stats`` over JSON
+    lines; :class:`TestRouterFailoverBinary` runs the same checks over
+    binary frames."""
+
+    protocol = "json"
+
     def test_retry_never_duplicates_response_id(self):
         """Kill the workload's primary mid-stream: every request gets
         exactly one response, ids unique, accounting closed."""
@@ -196,22 +240,20 @@ class TestRouterFailover:
                                  seed=4, batch=2)
         with _small_cluster() as cluster:
             primary = cluster.router.router.ring.primary("MS")
-            responses = {}
-            with socket.create_connection(
-                (cluster.host, cluster.port), timeout=15
-            ) as sock:
-                fh = sock.makefile("rw")
-                for i, request in enumerate(requests):
-                    fh.write(json.dumps(dict(request, id=i)) + "\n")
-                    fh.flush()
-                    if i == 10:
-                        cluster.kill(primary)
-                    response = json.loads(fh.readline())
-                    assert response["id"] == i
-                    assert response["id"] not in responses
-                    responses[response["id"]] = response
+
+            def kill_primary(i):
+                if i == 10:
+                    cluster.kill(primary)
+
+            responses = _converse(
+                cluster.host, cluster.port,
+                [_encode(dict(request, id=i), self.protocol)
+                 for i, request in enumerate(requests)],
+                after=kill_primary,
+            )
             stats = cluster.router.stats()
-        assert len(responses) == len(requests)
+        assert [r["id"] for r in responses] == list(range(len(requests)))
+        assert all(r["ok"] for r in responses), responses
         assert stats["closed"], stats
         # the kill mid-stream forced traffic off the primary
         assert stats["failovers"] > 0 or stats["retries"] > 0, stats
@@ -224,7 +266,8 @@ class TestRouterFailover:
             moved = cluster.router.start_drain(primary)
             assert moved >= 0
             result = run_loadgen(
-                cluster.host, cluster.port, requests, concurrency=2
+                cluster.host, cluster.port, requests, concurrency=2,
+                protocol=self.protocol,
             )
             assert cluster.router.inflight(primary) == 0
             stats = cluster.router.stats()
@@ -235,34 +278,28 @@ class TestRouterFailover:
         with _small_cluster(replicas=2) as cluster:
             cluster.kill("replica-0")
             cluster.kill("replica-1")
-            with socket.create_connection(
-                (cluster.host, cluster.port), timeout=15
-            ) as sock:
-                fh = sock.makefile("rw")
-                fh.write(json.dumps({
-                    "id": 1, "op": "properties", "network": MS22,
-                }) + "\n")
-                fh.flush()
-                response = json.loads(fh.readline())
+            (response,) = _converse(cluster.host, cluster.port, [_encode({
+                "id": 1, "op": "properties", "network": MS22,
+            }, self.protocol)])
             stats = cluster.router.stats()
         assert response["ok"] is False
-        assert response["id"] == 1
+        assert response["id"] == 1 and response["op"] == "properties"
         assert stats["closed"], stats
         assert stats["failed"] == 1
 
     def test_router_stats_op_inline(self):
         with _small_cluster(replicas=2) as cluster:
-            with socket.create_connection(
-                (cluster.host, cluster.port), timeout=15
-            ) as sock:
-                fh = sock.makefile("rw")
-                fh.write(json.dumps({"id": 9, "op": "stats"}) + "\n")
-                fh.flush()
-                response = json.loads(fh.readline())
+            (response,) = _converse(cluster.host, cluster.port, [
+                _encode({"id": 9, "op": "stats"}, self.protocol),
+            ])
         assert response["ok"] is True and response["id"] == 9
         replicas = response["result"]["replicas"]
         assert set(replicas) == {"replica-0", "replica-1"}
         assert all(r["up"] for r in replicas.values())
+
+
+class TestRouterFailoverBinary(TestRouterFailover):
+    protocol = "binary"
 
 
 # ----------------------------------------------------------------------
@@ -397,37 +434,63 @@ class TestRouterWire:
     def test_binary_matches_json_through_router(self):
         """Same request, both protocols, one router: identical decoded
         responses."""
-        import asyncio
-
         request = {
             "id": 4, "op": "distance", "network": MS22,
             "pairs": list(uniform_pairs(5, 8, seed=9)),
         }
-
-        async def _ask(host, port, protocol):
-            reader, writer = await asyncio.open_connection(
-                host, port, limit=wire.WIRE_LIMIT
-            )
-            writer.write(
-                wire.encode_request(request) if protocol == "binary"
-                else json.dumps(request).encode() + b"\n"
-            )
-            await writer.drain()
-            message = await wire.read_message(reader)
-            writer.close()
-            return (
-                wire.decode_response(message)
-                if isinstance(message, wire.Frame)
-                else json.loads(message)
-            )
-
         with _small_cluster(replicas=2) as cluster:
-            via_json = wire.run(_ask(cluster.host, cluster.port, "json"))
-            via_binary = wire.run(
-                _ask(cluster.host, cluster.port, "binary")
+            via_json, via_binary = _converse(
+                cluster.host, cluster.port,
+                [_encode(request, "json"), _encode(request, "binary")],
             )
         assert via_json["ok"], via_json
         assert via_json == via_binary
+
+    def test_malformed_requests_fail_closed(self):
+        """A JSON line that is not an object and a frame whose header is
+        not JSON each get one ``ok: false`` reply (the frame's carries
+        its op and id); the connection then answers valid requests of
+        both protocols, and overloaded requests are rejected the same
+        way.  Every rejection is counted, so accounting stays closed."""
+        bad_header = b"not json"
+        bad_frame = wire.HEADER.pack(
+            wire.MAGIC, wire.VERSION, wire.OP_DISTANCE, wire.FLAG_HAS_ID,
+            5, len(bad_header), 0,
+        ) + bad_header
+        query = {"op": "properties", "network": MS22}
+        with _small_cluster(replicas=2) as cluster:
+            replies = _converse(cluster.host, cluster.port, [
+                b"[1, 2]\n", bad_frame,
+                _encode(dict(query, id=6), "json"),
+                _encode(dict(query, id=7), "binary"),
+            ])
+            cluster.router.router.max_inflight = 0
+            replies += _converse(cluster.host, cluster.port, [
+                _encode(dict(query, id=8), "json"),
+                _encode(dict(query, id=9), "binary"),
+            ])
+            stats = cluster.router.stats()
+        bad_line, bad_frame_reply, ok_json, ok_binary = replies[:4]
+        assert bad_line == {
+            "ok": False,
+            "error": "malformed request: request must be a JSON object",
+        }
+        assert bad_frame_reply["error"].startswith(
+            "malformed request: bad frame header JSON"
+        )
+        assert bad_frame_reply == {
+            "ok": False, "op": "distance", "id": 5,
+            "error": bad_frame_reply["error"],
+        }
+        assert ok_json["ok"] and ok_json["id"] == 6, ok_json
+        assert ok_binary == dict(ok_json, id=7)
+        assert replies[4:] == [
+            {"ok": False, "op": "properties", "error": "overloaded",
+             "id": rid}
+            for rid in (8, 9)
+        ]
+        assert stats["closed"], stats
+        assert stats["rejected"] == 4 and stats["completed"] == 2, stats
 
     def test_over_64k_batch_through_router(self):
         """Regression for the 64 KiB ceiling on the router's two hops
