@@ -1,14 +1,16 @@
 """Consistent-hash front proxy with health checks and failover.
 
 :class:`ClusterRouter` is the cluster's single client-facing endpoint.
-It speaks the same newline-JSON protocol as
-:class:`~repro.serve.server.QueryServer`, but instead of executing
-queries it *places* them: each request hashes by its network family
-onto the :class:`~repro.cluster.ring.HashRing` and is forwarded to the
-first healthy replica in the family's preference list over a
-persistent per-replica connection (internal ids are rewritten on the
-way out and restored on the way back, so many client connections
-multiplex safely onto one backend socket).
+It speaks both wire protocols of
+:class:`~repro.serve.server.QueryServer` — newline JSON and binary
+frames (:mod:`repro.serve.wire`) — through one request path, but
+instead of executing queries it *places* them: each request hashes by
+its network family onto the :class:`~repro.cluster.ring.HashRing` and
+is forwarded to the first healthy replica in the family's preference
+list over a persistent per-replica connection (internal ids are
+rewritten on the way out and restored on the way back, so many client
+connections multiplex safely onto one backend socket; an unsampled
+frame is forwarded raw, with only its fixed-offset id re-stamped).
 
 Failure handling mirrors the paper's fault-tolerant routing at the
 system level:
@@ -120,8 +122,117 @@ class RouterStats:
         return self.received == self.completed + self.rejected + self.failed
 
 
+def _json_line(obj: Dict[str, object]) -> bytes:
+    return json.dumps(obj).encode() + b"\n"
+
+
+def _json_call(request: Dict[str, object]):
+    """The ``forward`` of a JSON request the router makes itself
+    (health probes, the metrics fan-out)."""
+    return lambda call_id: _json_line(dict(request, id=call_id))
+
+
+async def _send(writer: asyncio.StreamWriter, payload: bytes) -> None:
+    try:
+        writer.write(payload)
+        await writer.drain()
+    except (ConnectionResetError, OSError):
+        pass  # client went away; accounting already counted it
+
+
+#: :attr:`_ClientRequest.client_id` of a request that carries no id.
+_NO_ID = object()
+
+
+class _ClientRequest:
+    """One client message, JSON line or binary frame, as the router
+    handles it: the same path places both protocols.
+
+    ``request`` is the parsed JSON object or the frame's header (with
+    the op its opcode names), ``None`` when it did not parse —
+    :attr:`malformed` then holds the error.  :meth:`forward` gives the
+    bytes a replica gets and :meth:`answer` the client's reply, each in
+    the client's protocol.
+    """
+
+    __slots__ = ("frame", "request", "op", "client_id", "malformed",
+                 "sampled")
+
+    def __init__(self, message):
+        frame = message if isinstance(message, wire.Frame) else None
+        self.frame = frame
+        self.request: Optional[Dict[str, object]] = None
+        self.op = None if frame is None else wire.OP_NAMES.get(frame.opcode)
+        self.client_id = frame.request_id \
+            if frame is not None and frame.has_id else _NO_ID
+        self.malformed: Optional[str] = None
+        self.sampled = False
+        try:
+            if frame is None:
+                request = json.loads(message)
+                if not isinstance(request, dict):
+                    raise ValueError("request must be a JSON object")
+                self.client_id = request.get("id", _NO_ID)
+            else:
+                request = frame.header()
+                request.setdefault("op", self.op)
+        except ValueError as exc:  # wire.WireError included
+            self.malformed = f"malformed request: {exc}"
+            return
+        self.request = request
+        self.op = request.get("op")
+
+    def trace(self):
+        """The client's trace context.  Column frames carry none (their
+        header holds only network, m and k), so they are never
+        re-encoded."""
+        if self.frame is not None and self.frame.flags & wire.FLAG_COLUMNS:
+            return None
+        return extract(self.request)
+
+    def retrace(self, ctx) -> None:
+        """Forward ``ctx``, the router hop's child context."""
+        self.request = inject(self.request, ctx)
+        self.sampled = True
+
+    def forward(self, call_id: int) -> bytes:
+        """The request as a replica gets it, under the internal id.  An
+        unsampled frame goes raw with only its id re-stamped."""
+        if self.frame is None:
+            return _json_line(dict(self.request, id=call_id))
+        if self.sampled:
+            return wire.encode_request(dict(self.request, id=call_id))
+        return self.frame.with_id(call_id)
+
+    def failure(self, message: str) -> Dict[str, object]:
+        """The router's own ``ok: false`` reply (a JSON line that did
+        not parse names no op)."""
+        reply = {"ok": False, "op": self.op, "error": message}
+        if self.frame is None and self.request is None:
+            del reply["op"]
+        return reply
+
+    def answer(self, response) -> bytes:
+        """``response`` (a replica's frame or dict, or the router's own
+        dict) as the client's reply: the client's id, the client's
+        protocol."""
+        if isinstance(response, wire.Frame):
+            if self.frame is not None and self.client_id is not _NO_ID:
+                return response.with_id(self.client_id)
+            response = wire.decode_response(response)
+        response = dict(response)
+        if self.client_id is _NO_ID:
+            response.pop("id", None)
+        else:
+            response["id"] = self.client_id
+        if self.frame is None:
+            return _json_line(response)
+        return wire.encode_response(response)
+
+
 class ClusterRouter:
-    """Route newline-JSON queries to a replica set over a hash ring.
+    """Route queries of either wire protocol to a replica set over a
+    hash ring.
 
     ``backends`` maps replica names to ``(host, port)`` addresses.
     ``probe_spec`` (a network spec dict) makes health probes real
@@ -322,50 +433,18 @@ class ClusterRouter:
             probe = {"op": "stats"}
         try:
             response = await self._call(
-                backend, probe, timeout=self.probe_timeout
+                backend, _json_call(probe), timeout=self.probe_timeout
             )
         except (BackendDied, asyncio.TimeoutError):
             return False
         return bool(response.get("ok"))
 
-    async def _call(
-        self,
-        backend: _Backend,
-        request: Dict[str, object],
-        timeout: float,
-    ) -> Dict[str, object]:
-        """One multiplexed request/response exchange on the replica's
-        persistent connection (internal id in, response out)."""
-        if backend.writer is None:
-            raise BackendDied(f"{backend.name}: not connected")
-        call_id = self._next_call_id
-        self._next_call_id += 1
-        payload = dict(request)
-        payload["id"] = call_id
-        future = asyncio.get_running_loop().create_future()
-        backend.pending[call_id] = future
-        try:
-            backend.writer.write(json.dumps(payload).encode() + b"\n")
-            await backend.writer.drain()
-        except (ConnectionResetError, OSError) as exc:
-            backend.pending.pop(call_id, None)
-            self._sever(backend, f"write failed: {exc}")
-            raise BackendDied(f"{backend.name}: write failed") from exc
-        try:
-            return await asyncio.wait_for(future, timeout=timeout)
-        finally:
-            backend.pending.pop(call_id, None)
-
-    async def _call_frame(
-        self,
-        backend: _Backend,
-        frame: "wire.Frame",
-        timeout: float,
-    ):
-        """One multiplexed binary exchange: the raw frame is forwarded
-        with only its fixed-offset id re-stamped (no JSON or payload
-        re-encode — the proxy fast path), and the response resolves by
-        the echoed internal id like any other call."""
+    async def _call(self, backend: _Backend, forward, timeout: float):
+        """One multiplexed exchange on the replica's persistent
+        connection: ``forward(call_id)`` gives the bytes to write under
+        a fresh internal id, and the reply — a dict for a JSON line, a
+        raw :class:`~repro.serve.wire.Frame` for a frame — resolves by
+        that id echoed back."""
         if backend.writer is None:
             raise BackendDied(f"{backend.name}: not connected")
         call_id = self._next_call_id
@@ -373,7 +452,7 @@ class ClusterRouter:
         future = asyncio.get_running_loop().create_future()
         backend.pending[call_id] = future
         try:
-            backend.writer.write(frame.with_id(call_id))
+            backend.writer.write(forward(call_id))
             await backend.writer.drain()
         except (ConnectionResetError, OSError) as exc:
             backend.pending.pop(call_id, None)
@@ -460,337 +539,141 @@ class ClusterRouter:
         stats = self.stats_counters
         registry = get_registry()
         while not self._closing:
+            error = None
             try:
                 message = await wire.read_message(reader)
             except wire.WireError:
                 # Unrecoverable binary framing: answer once and close
                 # (the stream cannot be resynchronised).
-                stats.received += 1
-                stats.rejected += 1
-                if registry.enabled:
-                    registry.counter("cluster.router.requests").inc(1)
-                await self._send(writer, {
-                    "ok": False, "error": "malformed frame",
-                })
-                break
+                message, error = None, "malformed frame"
             except (ConnectionResetError, OSError,
                     asyncio.IncompleteReadError):
                 break
-            if message is None:
+            if message is None and error is None:
                 break
-            if message is wire.OVERSIZED:
-                # Over-limit JSON line, consumed and discarded — the
-                # connection survives, accounting stays closed.
-                stats.received += 1
-                stats.rejected += 1
-                if registry.enabled:
-                    registry.counter("cluster.router.requests").inc(1)
-                await self._send(writer, {
-                    "ok": False,
-                    "error": "malformed request: line over the "
-                             f"{wire.WIRE_LIMIT}-byte wire limit",
-                })
-                continue
             stats.received += 1
             if registry.enabled:
                 registry.counter("cluster.router.requests").inc(1)
-            if isinstance(message, wire.Frame):
-                await self._handle_frame(message, writer)
-                continue
-            try:
-                request = json.loads(message)
-                if not isinstance(request, dict):
-                    raise ValueError("request must be a JSON object")
-            except ValueError as exc:
+            if message is wire.OVERSIZED:
+                # An over-limit JSON line, consumed and discarded by
+                # read_message: the connection survives.
+                error = "malformed request: line over the " \
+                    f"{wire.WIRE_LIMIT}-byte wire limit"
+            if error is not None:
                 stats.rejected += 1
-                await self._send(writer, {
-                    "ok": False, "error": f"malformed request: {exc}",
-                })
+                await _send(writer, _json_line({
+                    "ok": False, "error": error,
+                }))
+                if message is None:
+                    break
                 continue
-            if request.get("op") == "stats":
-                stats.completed += 1
-                await self._send(writer, {
-                    "ok": True, "op": "stats", "result": self.stats(),
-                    **({"id": request["id"]} if "id" in request else {}),
-                })
+            request = _ClientRequest(message)
+            if request.malformed is not None:
+                stats.rejected += 1
+                await _send(writer, request.answer(
+                    request.failure(request.malformed)
+                ))
                 continue
-            if request.get("op") == "metrics":
-                # Cluster-wide metric aggregation: fan the op out to
-                # every available replica and merge with per-replica
-                # labels (the router's own registry rides along as
-                # replica="router").
+            if request.op in ("stats", "metrics"):
+                # Answered inline.  ``metrics`` is the cluster-wide
+                # aggregation: the op fans out to every available
+                # replica and merges with per-replica labels (the
+                # router's own registry rides along as replica="router").
                 stats.completed += 1
-                merged = await self._metrics()
-                await self._send(writer, {
-                    "ok": True, "op": "metrics", "result": merged,
-                    **({"id": request["id"]} if "id" in request else {}),
-                })
+                result = self.stats() if request.op == "stats" \
+                    else await self._metrics()
+                await _send(writer, request.answer(
+                    {"ok": True, "op": request.op, "result": result}
+                ))
                 continue
             if self._inflight >= self.max_inflight:
                 stats.rejected += 1
-                await self._send(writer, self._error_response(
-                    request, "overloaded"
+                await _send(writer, request.answer(
+                    request.failure("overloaded")
                 ))
                 continue
             self._inflight += 1
             start = time.monotonic()
             try:
-                response = await self._route(request)
+                reply = await self._route(request)
             finally:
                 self._inflight -= 1
                 self._latencies.observe(
                     (time.monotonic() - start) * 1000.0
                 )
-            await self._send(writer, response)
+            await _send(writer, reply)
 
-    async def _handle_frame(
-        self, frame: "wire.Frame", writer: asyncio.StreamWriter
-    ) -> None:
-        """One binary client frame: admin ops answered inline, query
-        frames passed through to a replica raw (id re-stamp only)."""
-        stats = self.stats_counters
-        try:
-            header = frame.header()
-        except wire.WireError as exc:
-            stats.rejected += 1
-            await self._send_bytes(writer, self._frame_error(
-                frame, {}, f"malformed request: {exc}"
-            ))
-            return
-        op = header.get("op") or wire.OP_NAMES.get(frame.opcode)
-        if op == "stats":
-            stats.completed += 1
-            response = {"ok": True, "op": "stats", "result": self.stats()}
-            if frame.has_id:
-                response["id"] = frame.request_id
-            await self._send_bytes(writer, wire.encode_response(response))
-            return
-        if op == "metrics":
-            stats.completed += 1
-            response = {
-                "ok": True, "op": "metrics",
-                "result": await self._metrics(),
-            }
-            if frame.has_id:
-                response["id"] = frame.request_id
-            await self._send_bytes(writer, wire.encode_response(response))
-            return
-        if self._inflight >= self.max_inflight:
-            stats.rejected += 1
-            await self._send_bytes(writer, self._frame_error(
-                frame, header, "overloaded"
-            ))
-            return
-        self._inflight += 1
-        start = time.monotonic()
-        try:
-            payload = await self._route_frame(frame, header)
-        finally:
-            self._inflight -= 1
-            self._latencies.observe((time.monotonic() - start) * 1000.0)
-        await self._send_bytes(writer, payload)
-
-    async def _route_frame(
-        self, frame: "wire.Frame", header: Dict[str, object]
-    ) -> bytes:
-        """Binary twin of :meth:`_route_inner`: same placement, same
-        exactly-once retry, but the frame is forwarded raw and the
-        response frame comes back raw (client id restored at a fixed
-        offset)."""
-        stats = self.stats_counters
-        registry = get_registry()
-        key = self.family_key(header)
-        first, diverted = self._pick(key)
-        if first is None:
-            stats.failed += 1
-            return self._frame_error(frame, header,
-                                     "no replicas available")
-        if diverted:
-            stats.failovers += 1
-            if registry.enabled:
-                registry.counter("cluster.router.failovers").inc(1)
-        try:
-            response = await self._call_frame(
-                first, frame, timeout=self.request_timeout
-            )
-        except (BackendDied, asyncio.TimeoutError):
-            stats.retries += 1
-            record_event("router.retry", replica=first.name,
-                         op=str(header.get("op")))
-            if registry.enabled:
-                registry.counter("cluster.router.retries").inc(1)
-            second, _ = self._pick(key, exclude=(first.name,))
-            if second is None:
-                stats.failed += 1
-                return self._frame_error(
-                    frame, header,
-                    f"replica {first.name} died; no survivor",
-                )
-            stats.failovers += 1
-            if registry.enabled:
-                registry.counter("cluster.router.failovers").inc(1)
-            try:
-                response = await self._call_frame(
-                    second, frame, timeout=self.request_timeout
-                )
-            except (BackendDied, asyncio.TimeoutError):
-                stats.failed += 1
-                return self._frame_error(
-                    frame, header,
-                    f"replicas {first.name} and {second.name} both "
-                    "failed",
-                )
-        stats.completed += 1
-        return self._restore_frame_id(frame, response)
-
-    @staticmethod
-    def _restore_frame_id(frame: "wire.Frame", response) -> bytes:
-        """Swap the internal call id back for the client's own on a
-        raw response frame (or re-encode a JSON response the replica
-        answered with, defensively)."""
-        if not isinstance(response, wire.Frame):
-            response = dict(response)
-            if frame.has_id:
-                response["id"] = frame.request_id
-            else:
-                response.pop("id", None)
-            return wire.encode_response(response)
-        if frame.has_id:
-            return response.with_id(frame.request_id)
-        # The client sent no id: strip the internal one (slow path —
-        # re-encode through the dict form).
-        decoded = wire.decode_response(response)
-        decoded.pop("id", None)
-        return wire.encode_response(decoded)
-
-    @staticmethod
-    def _frame_error(
-        frame: "wire.Frame", header: Dict[str, object], message: str
-    ) -> bytes:
-        response = {
-            "ok": False,
-            "op": header.get("op", wire.OP_NAMES.get(frame.opcode)),
-            "error": message,
-        }
-        if frame.has_id:
-            response["id"] = frame.request_id
-        return wire.encode_response(response)
-
-    @staticmethod
-    async def _send_bytes(
-        writer: asyncio.StreamWriter, payload: bytes
-    ) -> None:
-        try:
-            writer.write(payload)
-            await writer.drain()
-        except (ConnectionResetError, OSError):
-            pass  # client went away; accounting already counted it
-
-    async def _route(
-        self, request: Dict[str, object]
-    ) -> Dict[str, object]:
-        """Place one request; exactly one response comes back.
+    async def _route(self, request: "_ClientRequest") -> bytes:
+        """Place one request; exactly one reply comes back.
 
         A sampled request gets the router's hop span here —
         ``router.route``, parent of whatever replica span the forwarded
         child context produces."""
-        ctx = extract(request)
+        ctx = request.trace()
         if ctx is None:
-            return await self._route_inner(request)
+            return request.answer(await self._place(request))
         with start_span("router.route", ctx, {
-            "op": str(request.get("op")),
-            "key": self.family_key(request),
+            "op": str(request.op),
+            "key": self.family_key(request.request),
         }) as span:
-            response = await self._route_inner(
-                inject(request, span.context())
+            request.retrace(span.context())
+            response = await self._place(request)
+            span.ok = bool(
+                response.flags & wire.FLAG_OK
+                if isinstance(response, wire.Frame)
+                else response.get("ok")
             )
-            span.ok = bool(response.get("ok"))
-            return response
+            return request.answer(response)
 
-    async def _route_inner(
-        self, request: Dict[str, object]
-    ) -> Dict[str, object]:
+    async def _place(self, request: "_ClientRequest"):
         """Attempt one goes to the key's first available replica.  If
         the call dies with its backend (severed connection, timeout),
         the query — idempotent by construction — is retried on a
-        *different* surviving replica exactly once.
+        *different* surviving replica exactly once.  Returns the
+        replica's reply, or the router's own ``ok: false`` dict.
         """
         stats = self.stats_counters
         registry = get_registry()
-        key = self.family_key(request)
+        key = self.family_key(request.request)
         first, diverted = self._pick(key)
         if first is None:
             stats.failed += 1
-            return self._error_response(request, "no replicas available")
+            return request.failure("no replicas available")
         if diverted:
             stats.failovers += 1
             if registry.enabled:
                 registry.counter("cluster.router.failovers").inc(1)
         try:
             response = await self._call(
-                first, request, timeout=self.request_timeout
+                first, request.forward, timeout=self.request_timeout
             )
         except (BackendDied, asyncio.TimeoutError):
             stats.retries += 1
             record_event("router.retry", replica=first.name,
-                         op=str(request.get("op")))
+                         op=str(request.op))
             if registry.enabled:
                 registry.counter("cluster.router.retries").inc(1)
             second, _ = self._pick(key, exclude=(first.name,))
             if second is None:
                 stats.failed += 1
-                return self._error_response(
-                    request, f"replica {first.name} died; no survivor"
+                return request.failure(
+                    f"replica {first.name} died; no survivor"
                 )
             stats.failovers += 1
             if registry.enabled:
                 registry.counter("cluster.router.failovers").inc(1)
             try:
                 response = await self._call(
-                    second, request, timeout=self.request_timeout
+                    second, request.forward, timeout=self.request_timeout
                 )
             except (BackendDied, asyncio.TimeoutError):
                 stats.failed += 1
-                return self._error_response(
-                    request,
+                return request.failure(
                     f"replicas {first.name} and {second.name} both "
-                    "failed",
+                    "failed"
                 )
         stats.completed += 1
-        return self._restore_id(request, response)
-
-    @staticmethod
-    def _restore_id(
-        request: Dict[str, object], response: Dict[str, object]
-    ) -> Dict[str, object]:
-        """Swap the internal call id back for the client's own."""
-        response = dict(response)
-        if "id" in request:
-            response["id"] = request["id"]
-        else:
-            response.pop("id", None)
         return response
-
-    @staticmethod
-    def _error_response(
-        request: Dict[str, object], message: str
-    ) -> Dict[str, object]:
-        response = {
-            "ok": False, "op": request.get("op"), "error": message,
-        }
-        if "id" in request:
-            response["id"] = request["id"]
-        return response
-
-    @staticmethod
-    async def _send(
-        writer: asyncio.StreamWriter, response: Dict[str, object]
-    ) -> None:
-        try:
-            writer.write(json.dumps(response).encode() + b"\n")
-            await writer.drain()
-        except (ConnectionResetError, OSError):
-            pass  # client went away; accounting already counted it
 
     # -- introspection --------------------------------------------------
 
@@ -813,7 +696,7 @@ class ClusterRouter:
                 continue
             try:
                 response = await self._call(
-                    backend, {"op": "metrics"},
+                    backend, _json_call({"op": "metrics"}),
                     timeout=self.probe_timeout,
                 )
             except (BackendDied, asyncio.TimeoutError):
