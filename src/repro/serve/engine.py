@@ -18,12 +18,13 @@ process, and ``repro route --json`` emits exactly the per-route payload
 the engine returns so the CLI and the server are diff-testable against
 each other.
 
-Three bounded LRU caches (:class:`~repro.core.lru.LRUCache`) keep a
+Two bounded LRU caches (:class:`~repro.core.lru.LRUCache`) keep a
 long-running process flat: warm compiled graphs (optionally attached
-from a table store via :func:`repro.io.attach_compiled_tables`),
-per-target reverse-BFS route tables for hotspot traffic, and
+from a table store via :func:`repro.io.attach_compiled_tables`) and
 embeddings.  Evictions surface on the ``serve.table_evictions``
-counter.  Answers themselves are not cached: keying and storing every
+counter.  Route tables need no cache of their own: every table route,
+hotspot form included, walks the graph's one identity-rooted BFS
+tree.  Answers themselves are not cached: keying and storing every
 response costs about as much as recomputing a small batch, so a result
 cache pays only when most requests repeat byte for byte (break-even
 was measured near four in five).
@@ -47,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.compiled import descend, layered_bfs, rank_array, tree_words
+from ..core.compiled import rank_array, tree_words
 from ..core.lru import EVICTION_METRIC, LRUCache
 from ..core.permutations import Permutation
 from ..core.super_cayley import SuperCayleyNetwork
@@ -57,9 +58,8 @@ from ..routing import star_distance_array
 
 NodeSpec = Union[str, Sequence[int]]
 
-#: default LRU capacities: graphs are megabytes, route tables kilobytes.
+#: LRU capacities of the warm-graph and embedding caches.
 DEFAULT_MAX_GRAPHS = 8
-DEFAULT_MAX_ROUTE_TABLES = 64
 DEFAULT_MAX_EMBEDDINGS = 8
 
 
@@ -355,9 +355,11 @@ class QueryEngine:
         ``/dev/shm`` store — the hook shard workers use to ship
         ownership to the pool parent so drain can unlink it.  A cache
         store is never reported: nothing unlinks it.
-    max_graphs / max_route_tables / max_embeddings:
-        LRU capacities for the three caches.  Evictions increment
-        ``serve.table_evictions`` with a ``cache`` label.
+
+    Warm graphs and embeddings live in LRU caches of
+    :data:`DEFAULT_MAX_GRAPHS` and :data:`DEFAULT_MAX_EMBEDDINGS`
+    entries; evictions increment ``serve.table_evictions`` with a
+    ``cache`` label.
     """
 
     def __init__(
@@ -365,22 +367,16 @@ class QueryEngine:
         table_cache: Optional[str] = None,
         shared_tables: bool = False,
         on_table_create: Optional[Callable[[str], None]] = None,
-        max_graphs: int = DEFAULT_MAX_GRAPHS,
-        max_route_tables: int = DEFAULT_MAX_ROUTE_TABLES,
-        max_embeddings: int = DEFAULT_MAX_EMBEDDINGS,
     ):
         self.table_cache = table_cache
         self.shared_tables = shared_tables
         self.on_table_create = on_table_create
         self._graphs = LRUCache(
-            max_graphs, metric=EVICTION_METRIC, cache="serve-graphs"
-        )
-        self._route_tables = LRUCache(
-            max_route_tables, metric=EVICTION_METRIC,
-            cache="serve-route-tables",
+            DEFAULT_MAX_GRAPHS, metric=EVICTION_METRIC, cache="serve-graphs"
         )
         self._embeddings = LRUCache(
-            max_embeddings, metric=EVICTION_METRIC, cache="serve-embeddings"
+            DEFAULT_MAX_EMBEDDINGS, metric=EVICTION_METRIC,
+            cache="serve-embeddings",
         )
 
     # -- cache plumbing -------------------------------------------------
@@ -446,26 +442,12 @@ class QueryEngine:
                 totals[kind] += nbytes
         return totals
 
-    def route_table(
-        self, net: SuperCayleyNetwork, target_id: int
-    ) -> np.ndarray:
-        """The per-target reverse-BFS table, LRU-cached across requests
-        (hotspot traffic keeps hitting the same handful of targets)."""
-        key = (net.name, int(target_id))
-        return self._route_tables.get_or_create(
-            key, lambda: layered_bfs(net.compiled().inverse_moves, target_id)
-        )
-
     def cache_stats(self) -> Dict[str, object]:
         """Sizes and lifetime evictions of the engine caches."""
         return {
             "graphs": len(self._graphs),
-            "route_tables": len(self._route_tables),
             "embeddings": len(self._embeddings),
-            "evictions": (
-                self._graphs.evictions + self._route_tables.evictions
-                + self._embeddings.evictions
-            ),
+            "evictions": self._graphs.evictions + self._embeddings.evictions,
             "table_bytes": self.table_bytes(),
         }
 
@@ -477,7 +459,6 @@ class QueryEngine:
         these off shipped worker snapshots."""
         gauge = registry.gauge("serve.cache_entries")
         gauge.set(len(self._graphs), cache="graphs")
-        gauge.set(len(self._route_tables), cache="route-tables")
         gauge.set(len(self._embeddings), cache="embeddings")
         table_gauge = registry.gauge("serve.table_bytes")
         for kind, nbytes in self.table_bytes().items():
@@ -754,18 +735,17 @@ class QueryEngine:
         ``symbols`` (the binary column frame of such pairs) or
         ``target`` + ``sources`` (hotspot form).  ``algorithm`` selects
         ``"table"`` (shortest, default) or ``"algorithmic"`` (the
-        per-family router ``repro route`` uses).  Table routes for
-        pairs walk the identity-rooted BFS tree for every pair at once
-        (left translation to ``s^-1 t``); hotspot table routes descend
-        greedily on the LRU-cached per-target reverse-BFS table.
+        per-family router ``repro route`` uses).  Table routes walk
+        the identity-rooted BFS tree for every pair at once (left
+        translation to ``s^-1 t`` is an automorphism of the Cayley
+        graph), hotspot form included.
         """
         net = self.network(request.get("network"))
         algorithm = request.get("algorithm", "table")
         if algorithm not in ("table", "algorithmic"):
             raise QueryError(f"unknown route algorithm {algorithm!r}")
-        hotspot = "symbols" not in request \
-            and "target" in request and "sources" in request
-        if hotspot:
+        if "symbols" not in request \
+                and "target" in request and "sources" in request:
             nodes = parse_symbols(
                 [request["target"], *request["sources"]], net.k
             )
@@ -782,8 +762,6 @@ class QueryEngine:
                 algorithmic_route(net, Permutation(s), Permutation(t))
                 for s, t in zip(sources.tolist(), targets.tolist())
             ]
-        elif hotspot:
-            words = self._descend_words(net, sources, targets)
         else:
             words = self._tree_words(net, sources, targets)
         return {
@@ -812,25 +790,6 @@ class QueryEngine:
                 compiled.parent, compiled.parent_gen, rel, depths
             )
         ]
-
-    def _descend_words(
-        self, net: SuperCayleyNetwork, sources: np.ndarray,
-        targets: np.ndarray,
-    ) -> List[List[str]]:
-        """Greedy-descent words from every source to the one target."""
-        if not len(sources):
-            return []
-        compiled = net.compiled()
-        target_id = int(rank_array(targets[0])[0])
-        table = self.route_table(net, target_id)
-        names = compiled.gen_names
-        words = []
-        for i, source_id in enumerate(rank_array(sources).tolist()):
-            word = descend(compiled.moves, table, source_id, target_id)
-            if word is None:
-                raise _unreachable(net, sources[i], targets[i])
-            words.append([names[g] for g in word])
-        return words
 
     # -- op: neighbors --------------------------------------------------
 
@@ -920,6 +879,5 @@ class QueryEngine:
     def __repr__(self) -> str:
         return (
             f"<QueryEngine: {len(self._graphs)} warm graphs, "
-            f"{len(self._route_tables)} route tables, "
             f"table_cache={self.table_cache!r}>"
         )

@@ -588,7 +588,7 @@ class ShardPool:
             for row in gauges.get("serve.cache_entries", []):
                 cache = row.get("labels", {}).get("cache")
                 if cache is not None:
-                    key = str(cache).replace("-", "_")  # engine key names
+                    key = str(cache)
                     totals[key] = totals.get(key, 0) + row["value"]
             for row in gauges.get("serve.table_bytes", []):
                 kind = row.get("labels", {}).get("kind")

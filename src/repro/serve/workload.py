@@ -7,7 +7,7 @@ as *seeded, reproducible* request streams:
 * :func:`uniform_pairs` — independent uniform source/target pairs (the
   baseline every theorem's average-distance claim assumes);
 * :func:`hotspot_pairs` — a fraction of traffic converges on a few hot
-  targets (exercises the engine's per-target reverse-BFS route tables);
+  targets;
 * :func:`transpose_pairs` — permutation traffic: every source sends to
   its own inverse label, the Cayley-graph analogue of matrix-transpose
   traffic (a fixed fixpoint-free pairing of the address space);

@@ -175,10 +175,10 @@ class TestEngineDifferential:
     @pytest.mark.parametrize("family,spec", ALL_TEN,
                              ids=[f for f, _ in ALL_TEN])
     def test_hotspot_route_valid_and_shortest(self, family, spec):
-        """Target+sources routes (reverse-table descent) are walkable
-        and optimal, though their tie-breaks may differ.  On the
-        directed families (MR, RR, complete-RR) the reverse table is
-        not the forward one."""
+        """Target+sources routes walk the identity-rooted BFS tree like
+        pair routes do (left translation is a graph automorphism), so
+        each word is walkable, optimal and exactly ``shortest_path``'s
+        word, on the directed families (MR, RR, complete-RR) too."""
         engine = QueryEngine()
         net = make_network(**spec)
         target = node_str(Permutation.unrank(net.k, 77 % net.num_nodes))
@@ -200,6 +200,9 @@ class TestEngineDifferential:
                 node = net.neighbor(node, dim)
             assert node == t                      # walkable to target
             assert payload["hops"] == net.distance(s, t)  # and shortest
+            assert payload["word"] == [
+                dim for dim, _ in net.shortest_path(s, t)
+            ]
 
     def test_neighbors_matches_graph(self):
         engine = QueryEngine()
@@ -448,19 +451,6 @@ class TestLRU:
         counter = registry.counter("serve.table_evictions")
         assert counter.value(cache="test") == 1
         assert counter.total() == 1
-
-    def test_engine_route_table_cache_bounded(self):
-        engine = QueryEngine(max_route_tables=2)
-        spec = {"family": "MS", "l": 2, "n": 2}
-        net = make_network(**spec)
-        for target_rank in (3, 14, 15, 92):
-            engine.execute({
-                "op": "route", "network": spec,
-                "target": node_str(Permutation.unrank(net.k, target_rank)),
-                "sources": [node_str(Permutation.unrank(net.k, 65))],
-            })
-        assert len(engine._route_tables) == 2
-        assert engine._route_tables.evictions == 2
 
 
 # ----------------------------------------------------------------------
