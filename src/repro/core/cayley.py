@@ -169,12 +169,6 @@ class CayleyGraph:
             raise ValueError(f"size mismatch: {node.k} vs {self.k}")
         return node.rank()
 
-    def node_from_id(self, node_id: int) -> Permutation:
-        """Inverse of :meth:`node_id` (interned when compiled)."""
-        if self.can_compile():
-            return self.compiled().node(node_id)
-        return Permutation.unrank(self.k, node_id)
-
     # ------------------------------------------------------------------
     # BFS machinery
     # ------------------------------------------------------------------

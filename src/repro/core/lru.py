@@ -2,13 +2,15 @@
 
 Long-running serving processes (:mod:`repro.serve`) cache expensive
 per-key artefacts — warm :class:`~repro.core.compiled.CompiledGraph`
-backends, per-target reverse-BFS route tables — whose working set is
-small but whose key space is unbounded (every target node is a
-potential key).  :class:`LRUCache` bounds them: at most ``capacity``
-entries, evicting the least recently *used* entry first, and reporting
-each eviction both on :attr:`LRUCache.evictions` and (when a metrics
-registry is installed) on a labelled counter, conventionally
-``serve.table_evictions``.
+backends, embeddings — whose working set is small but whose key space
+is unbounded (every network spec is a potential key).
+:class:`LRUCache` bounds them: at most ``capacity`` entries, evicting
+the least recently *used* entry first, and reporting each eviction both
+on :attr:`LRUCache.evictions` and (when a metrics registry is
+installed) on a labelled counter, conventionally
+``serve.table_evictions``.  Occupancy is the owner's to report: the
+serve engine publishes its caches' sizes once per batch as
+``serve.cache_entries``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,6 @@ V = TypeVar("V")
 #: cache distinguishes itself with a ``cache=<name>`` label.
 EVICTION_METRIC = "serve.table_evictions"
 
-#: companion occupancy gauge: any metric-enabled cache also publishes
-#: its current size here (same ``cache=<name>`` labels), so operators
-#: see cache pressure *before* evictions start.
-SIZE_METRIC = "serve.cache_size"
-
 
 class LRUCache:
     """Bounded mapping with least-recently-used eviction.
@@ -39,7 +36,7 @@ class LRUCache:
     remaining keyword labels are attached to every increment so several
     caches can share one counter, e.g.::
 
-        LRUCache(64, metric=EVICTION_METRIC, cache="serve-route-tables")
+        LRUCache(8, metric=EVICTION_METRIC, cache="serve-graphs")
 
     Reads (:meth:`get` / :meth:`get_or_create` / ``in``) refresh
     recency; :attr:`evictions` counts entries dropped over the cache's
@@ -89,16 +86,6 @@ class LRUCache:
             self.evictions += 1
             if self.metric is not None:
                 get_registry().counter(self.metric).inc(1, **self.labels)
-        self._publish_size()
-
-    def _publish_size(self) -> None:
-        if self.metric is None:
-            return
-        registry = get_registry()
-        if registry.enabled:
-            registry.gauge(SIZE_METRIC).set(
-                len(self._entries), **self.labels
-            )
 
     def values(self) -> Iterator[V]:
         """Iterate cached values without touching recency (accounting
@@ -117,7 +104,6 @@ class LRUCache:
     def clear(self) -> None:
         """Drop every entry (not counted as evictions)."""
         self._entries.clear()
-        self._publish_size()
 
     def __repr__(self) -> str:
         name = self.labels.get("cache", "lru")

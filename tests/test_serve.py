@@ -786,37 +786,6 @@ class TestServeMetrics:
         assert registry.counter("serve.coalesced_requests").total() \
             == len(requests)
 
-    def test_cache_size_gauge_tracks_occupancy(self):
-        from repro.core.lru import SIZE_METRIC
-        from repro.obs import MetricsRegistry, use_registry
-
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            cache = LRUCache(2, metric="test.evictions", cache="probe")
-            gauge = registry.gauge(SIZE_METRIC)
-            cache.put("a", 1)
-            assert gauge.value(cache="probe") == 1
-            cache.put("b", 2)
-            cache.put("c", 3)  # evicts "a"; occupancy stays at capacity
-            assert gauge.value(cache="probe") == 2
-            cache.clear()
-            assert gauge.value(cache="probe") == 0
-
-    def test_engine_publishes_cache_size_gauges(self):
-        from repro.core.lru import SIZE_METRIC
-        from repro.obs import MetricsRegistry, use_registry
-
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            engine = QueryEngine()
-            response = engine.execute({
-                "op": "properties",
-                "network": {"family": "MS", "l": 2, "n": 2},
-            })
-            assert response["ok"], response
-            gauge = registry.gauge(SIZE_METRIC)
-            assert gauge.value(cache="serve-graphs") == 1
-
     def test_coalesced_batch_publishes_cache_gauges(self):
         from repro.obs import MetricsRegistry, use_registry
 
