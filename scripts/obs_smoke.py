@@ -1,6 +1,7 @@
 """CI observability smoke: a 3-replica mini-loadgen at 100% trace
-sampling must yield one merged trace tree per request whose parentage
-crosses router -> server -> shard (a real OS process boundary), and
+sampling, once over newline JSON and once over binary frames, must
+yield one merged trace tree per request whose parentage crosses
+router -> server -> shard (a real OS process boundary), and
 ``repro top --once`` must render a live cluster.
 
 Run with ``PYTHONPATH=src python scripts/obs_smoke.py``; exits non-zero
@@ -33,12 +34,12 @@ def check(condition, message):
         sys.exit(1)
 
 
-def smoke_trace_trees(trees_path):
+def smoke_trace_trees(trees_path, protocol):
     code = main([
         "loadgen", "MS", "--l", "2", "--n", "2",
         "--cluster", "3", "--cluster-shards", "1",
         "--count", "24", "--batch", "4",
-        "--trace-sample", "1.0",
+        "--trace-sample", "1.0", "--protocol", protocol,
         "--trace-trees", str(trees_path), "--json",
     ])
     check(code == 0, f"loadgen exited {code}")
@@ -56,7 +57,8 @@ def smoke_trace_trees(trees_path):
             f"trace {tree['trace_id']} spans {tree['pids']} — expected "
             "2 pids (client/router/server + shard worker)",
         )
-    print(f"trace smoke ok: {len(trees)} trees, chain {'->'.join(FULL_CHAIN)}")
+    print(f"trace smoke ok ({protocol}): {len(trees)} trees, "
+          f"chain {'->'.join(FULL_CHAIN)}")
 
 
 def smoke_top():
@@ -78,7 +80,8 @@ def smoke_top():
 
 def run():
     with tempfile.TemporaryDirectory() as tmp:
-        smoke_trace_trees(Path(tmp) / "trees.jsonl")
+        for protocol in ("json", "binary"):
+            smoke_trace_trees(Path(tmp) / f"trees-{protocol}.jsonl", protocol)
     smoke_top()
     print("obs smoke passed")
 
